@@ -195,11 +195,19 @@ func runChaos(t *testing.T, eng stm.Engine) {
 	for i := 0; i < transfers; i++ {
 		switch i {
 		case transfers / 3:
+			refused := cnet.Stats().Partitions
 			cnet.Partition(true)
 			// Partitioning kills the live conns, so the client's blocked
-			// read fails now; holding the partition past its first backoff
-			// forces at least one redial to be refused by it.
-			time.Sleep(600 * time.Millisecond)
+			// read fails now. Hold the partition until it has refused an
+			// operation — the client's redial — however long the client's
+			// backoff has grown.
+			deadline := time.Now().Add(10 * time.Second)
+			for cnet.Stats().Partitions == refused {
+				if time.Now().After(deadline) {
+					t.Fatalf("the partition refused nothing within 10s: %+v", cnet.Stats())
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
 		case 2 * transfers / 3:
 			cnet.Partition(false)
 		}
@@ -260,6 +268,7 @@ func runChaos(t *testing.T, eng stm.Engine) {
 	if ns.Partitions == 0 {
 		t.Fatal("the partition was never exercised: no operation was refused by it")
 	}
+	t.Logf("partition: %d live conns killed, %d operations refused", ns.Kills, ns.Partitions)
 
 	// Phase B: the disk fails under the WAL. Shed mode keeps the store
 	// serving while counting what the dead log refused.

@@ -138,8 +138,8 @@ func TestDiskDeterministic(t *testing.T) {
 }
 
 // TestNetPartition pins the partition switch: it kills live wrapped
-// conns, refuses operations on both wrapped conns and dials while on,
-// counts each refusal, and lifts cleanly.
+// conns and counts them, refuses operations on both wrapped conns and
+// dials while on, counts each refusal, and lifts cleanly.
 func TestNetPartition(t *testing.T) {
 	n := NewNet(NetPlan{})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -188,8 +188,8 @@ func TestNetPartition(t *testing.T) {
 	if _, err := n.Dial(ctx, "tcp", l.Addr().String()); !errors.Is(err, ErrPartitioned) {
 		t.Fatalf("dial through partition: %v", err)
 	}
-	if s := n.Stats(); s.Partitions < 2 {
-		t.Fatalf("stats: %+v", s)
+	if s := n.Stats(); s.Partitions < 2 || s.Kills != 1 {
+		t.Fatalf("stats: %+v, want >= 2 refusals and 1 kill", s)
 	}
 
 	n.Partition(false)

@@ -38,6 +38,7 @@ type NetStats struct {
 	Stalls     int64 // write stalls
 	DialErrs   int64 // failed dials
 	Partitions int64 // operations refused while partitioned
+	Kills      int64 // live conns closed by turning the partition on
 }
 
 // Net injects faults into connections. One Net is shared by every
@@ -61,7 +62,8 @@ func NewNet(plan NetPlan) *Net {
 
 // Partition flips the global partition: while set, every wrapped
 // conn's reads and writes fail (closing the conn) and dials are
-// refused. Un-partitioning heals new connections; existing ones were
+// refused. Turning it on closes every live wrapped conn, counted in
+// Kills. Un-partitioning heals new connections; existing ones were
 // already killed.
 func (n *Net) Partition(on bool) {
 	n.mu.Lock()
@@ -70,7 +72,9 @@ func (n *Net) Partition(on bool) {
 	if on {
 		for c := range n.conns {
 			conns = append(conns, c)
+			delete(n.conns, c)
 		}
+		n.stats.Kills += int64(len(conns))
 	}
 	n.mu.Unlock()
 	for _, c := range conns {
@@ -185,7 +189,7 @@ func (c *Conn) Read(p []byte) (int, error) {
 		time.Sleep(f.sleep)
 	}
 	if f.err != nil {
-		c.Conn.Close()
+		c.kill()
 		return 0, f.err
 	}
 	return c.Conn.Read(p)
@@ -203,7 +207,7 @@ func (c *Conn) Write(p []byte) (int, error) {
 		if f.keep > 0 {
 			n, _ = c.Conn.Write(p[:f.keep])
 		}
-		c.Conn.Close()
+		c.kill()
 		return n, f.err
 	}
 	return c.Conn.Write(p)
@@ -213,4 +217,11 @@ func (c *Conn) Write(p []byte) (int, error) {
 func (c *Conn) Close() error {
 	c.net.forget(c)
 	return c.Conn.Close()
+}
+
+// kill closes the conn for an injected fault. It is forgotten first, so
+// a later partition does not count it among the live conns it kills.
+func (c *Conn) kill() {
+	c.net.forget(c)
+	c.Conn.Close()
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"modtx/internal/stm"
 )
@@ -32,7 +33,7 @@ func TestDeleteBasic(t *testing.T) {
 			if ok, err := s.Delete("a"); err != nil || ok {
 				t.Fatalf("second Delete(a)=%v,%v, want false", ok, err)
 			}
-			// Gone on every read path, and swept from the table.
+			// Gone on every read path, and reclaimed from the table.
 			if _, ok, _ := s.Get("a"); ok {
 				t.Fatal("Get sees deleted key")
 			}
@@ -69,7 +70,7 @@ func TestTxnDelete(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Delete inside a transaction: the key reads as absent within
-			// the same transaction and is swept after commit.
+			// the same transaction and is reclaimed after commit.
 			err := s.Update([]string{"x", "y"}, func(tx *Txn) error {
 				if !tx.Delete("x") {
 					t.Error("Txn.Delete(x) reported absent")
@@ -95,7 +96,7 @@ func TestTxnDelete(t *testing.T) {
 				t.Fatalf("Len=%d, want 1", n)
 			}
 
-			// An aborted transaction rolls the tombstone back.
+			// An aborted transaction rolls the deletion back.
 			boom := errors.New("boom")
 			err = s.Update([]string{"y"}, func(tx *Txn) error {
 				tx.Delete("y")
@@ -108,13 +109,13 @@ func TestTxnDelete(t *testing.T) {
 				t.Fatalf("aborted delete leaked: %q,%v", v, ok)
 			}
 
-			// Delete-then-Set in one transaction resurrects the key with
+			// Delete-then-Set in one transaction re-creates the key with
 			// the new value, atomically.
 			err = s.Update([]string{"y"}, func(tx *Txn) error {
 				tx.Delete("y")
 				tx.Set("y", []byte("reborn"))
 				if v, ok := tx.Get("y"); !ok || string(v) != "reborn" {
-					t.Errorf("resurrected key reads %q,%v in-txn", v, ok)
+					t.Errorf("re-created key reads %q,%v in-txn", v, ok)
 				}
 				return nil
 			})
@@ -122,7 +123,7 @@ func TestTxnDelete(t *testing.T) {
 				t.Fatal(err)
 			}
 			if v, ok, _ := s.Get("y"); !ok || string(v) != "reborn" {
-				t.Fatalf("resurrected key reads %q,%v", v, ok)
+				t.Fatalf("re-created key reads %q,%v", v, ok)
 			}
 		})
 	}
@@ -130,8 +131,8 @@ func TestTxnDelete(t *testing.T) {
 
 func TestTxnDeleteAddRestartsCounter(t *testing.T) {
 	// Delete-then-Add of a counter in one transaction must match the
-	// committed sequential semantics (fresh entry): the counter restarts
-	// at zero, not at its pre-delete value.
+	// committed sequential semantics: the re-created counter restarts at
+	// zero, not at its pre-delete value.
 	for _, e := range kvEngines {
 		t.Run(e.String(), func(t *testing.T) {
 			s := New(WithShards(2), WithEngine(e))
@@ -162,24 +163,24 @@ func TestTxnDeleteAddRestartsCounter(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got != 7 {
-				t.Fatalf("resurrect then second add = %d, want 7", got)
+				t.Fatalf("re-create then second add = %d, want 7", got)
 			}
 		})
 	}
 }
 
-// condemnUnswept commits a tombstone on key's entry WITHOUT sweeping it
-// from the table, reproducing the window between a concurrent Delete's
-// commit and its sweep.
-func condemnUnswept(t *testing.T, s *Store, key string) *entry {
+// deleteUnreclaimed commits key's liveness word absent WITHOUT
+// reclaiming the entry, reproducing the window between a concurrent
+// Delete's commit and its reclaim.
+func deleteUnreclaimed(t *testing.T, s *Store, key string) *entry {
 	t.Helper()
 	sh := s.shards[s.ShardOf(key)]
 	e := sh.lookup(key)
 	if e == nil {
-		t.Fatalf("key %q has no entry to condemn", key)
+		t.Fatalf("key %q has no entry to delete", key)
 	}
 	if err := sh.stm.Atomically(func(tx *stm.Tx) error {
-		tx.Write(e.dead, 1)
+		tx.Write(e.dead, keyAbsent)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -187,56 +188,104 @@ func condemnUnswept(t *testing.T, s *Store, key string) *entry {
 	return e
 }
 
-// TestPublishPrivatizeEnsureOnCondemnedEntry pins the fix for the
-// condemned-entry window: Publish, Privatize and EnsureKeys must not
-// operate on a tombstoned entry (whose sweep would silently discard
-// their writes) — they help the sweep and re-create the key.
-func TestPublishPrivatizeEnsureOnCondemnedEntry(t *testing.T) {
-	// Publish into a condemned entry must survive the sweep.
-	s := New(WithShards(2))
-	if err := s.Set("p", []byte("old")); err != nil {
-		t.Fatal(err)
-	}
-	condemned := condemnUnswept(t, s, "p")
-	if err := s.Publish(map[string][]byte{"p": []byte("published")}); err != nil {
-		t.Fatal(err)
-	}
-	s.sweep(map[string]*entry{"p": condemned}) // the racing deleter's sweep lands late
-	if v, ok, err := s.Get("p"); err != nil || !ok || string(v) != "published" {
-		t.Fatalf("published value lost to the sweep: %q,%v,%v", v, ok, err)
-	}
+// TestPublishPrivatizeEnsureOnDeletedEntry: Publish, Privatize and
+// EnsureKeys over an entry whose deletion has committed but whose
+// reclaim has not must bring the key to life on an entry that stays in
+// the table; the deleter's reclaim, landing late, must not discard
+// their writes.
+func TestPublishPrivatizeEnsureOnDeletedEntry(t *testing.T) {
+	for _, eng := range stm.Engines() {
+		t.Run(eng.String(), func(t *testing.T) {
+			s := New(WithShards(2), WithEngine(eng))
+			lateReclaim := func(key string) {
+				s.shards[s.ShardOf(key)].reclaim([]string{key})
+			}
 
-	// Privatize must hand back a handle on a live entry.
-	if err := s.Set("q", []byte("old")); err != nil {
-		t.Fatal(err)
-	}
-	condemned = condemnUnswept(t, s, "q")
-	vars, err := s.Privatize("q")
-	if err != nil {
-		t.Fatal(err)
-	}
-	vars[0].Store([]byte("private"))
-	s.sweep(map[string]*entry{"q": condemned})
-	if v, ok := s.FastGet("q"); !ok || string(v) != "private" {
-		t.Fatalf("privatized write lost to the sweep: %q,%v", v, ok)
-	}
+			// Publish into a deleted entry must survive the reclaim.
+			if err := s.Set("p", []byte("old")); err != nil {
+				t.Fatal(err)
+			}
+			deleteUnreclaimed(t, s, "p")
+			if err := s.Publish(map[string][]byte{"p": []byte("published")}); err != nil {
+				t.Fatal(err)
+			}
+			lateReclaim("p")
+			if v, ok, err := s.Get("p"); err != nil || !ok || string(v) != "published" {
+				t.Fatalf("published value lost to the reclaim: %q,%v,%v", v, ok, err)
+			}
 
-	// EnsureKeys over a condemned entry re-creates the key.
-	if err := s.Set("r", []byte("old")); err != nil {
-		t.Fatal(err)
+			// Privatize must hand back a handle on a live entry.
+			if err := s.Set("q", []byte("old")); err != nil {
+				t.Fatal(err)
+			}
+			deleteUnreclaimed(t, s, "q")
+			vars, err := s.Privatize("q")
+			if err != nil {
+				t.Fatal(err)
+			}
+			vars[0].Store([]byte("private"))
+			lateReclaim("q")
+			if v, ok := s.FastGet("q"); !ok || string(v) != "private" {
+				t.Fatalf("privatized write lost to the reclaim: %q,%v", v, ok)
+			}
+
+			// EnsureKeys over a deleted entry re-creates the key, with a
+			// fresh (nil) value rather than the deleted one.
+			if err := s.Set("r", []byte("old")); err != nil {
+				t.Fatal(err)
+			}
+			deleteUnreclaimed(t, s, "r")
+			s.EnsureKeys("r")
+			lateReclaim("r")
+			if v, ok := s.FastGet("r"); !ok || v != nil {
+				t.Fatalf("EnsureKeys over a deleted entry: %q,%v, want nil,true", v, ok)
+			}
+			if n := s.Len(); n != 3 {
+				t.Fatalf("Len=%d, want 3", n)
+			}
+		})
 	}
-	condemned = condemnUnswept(t, s, "r")
-	s.EnsureKeys("r")
-	s.sweep(map[string]*entry{"r": condemned})
-	if _, ok := s.FastGet("r"); !ok {
-		t.Fatal("EnsureKeys reused a condemned entry; key vanished after sweep")
+}
+
+// TestWriterRetriesPastReclaimedEntry: an entry whose reclaim has
+// committed but which is still in the table is the one state writers
+// wait out; the write lands on the fresh entry inserted after removal.
+func TestWriterRetriesPastReclaimedEntry(t *testing.T) {
+	for _, eng := range stm.Engines() {
+		t.Run(eng.String(), func(t *testing.T) {
+			s := New(WithShards(2), WithEngine(eng))
+			if err := s.Set("k", []byte("old")); err != nil {
+				t.Fatal(err)
+			}
+			e := deleteUnreclaimed(t, s, "k")
+			sh := s.shards[s.ShardOf("k")]
+			if err := sh.stm.Atomically(func(tx *stm.Tx) error {
+				tx.Write(e.dead, keyReclaimed)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan error, 1)
+			go func() { _, err := s.CounterAdd("k", 3); done <- err }()
+			time.Sleep(10 * time.Millisecond) // let the writer meet the reclaimed entry
+			sh.reclaim([]string{"k"})         // the reclaimer removes the entry
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			if v, ok, err := s.CounterGet("k"); err != nil || !ok || v != 3 {
+				t.Fatalf("CounterGet=%d,%v,%v, want 3", v, ok, err)
+			}
+			if sh.lookup("k") == e {
+				t.Fatal("write landed on the reclaimed entry")
+			}
+		})
 	}
 }
 
 func TestTxnDeleteKindStaysFixedInTxn(t *testing.T) {
-	// In-transaction resurrection reuses the entry, so the kind cannot
-	// change within one transaction; the mismatch aborts with no effects
-	// (including the tombstone).
+	// Re-creating a key deleted earlier in the same transaction reuses
+	// its entry, so the kind cannot change within one transaction; the
+	// mismatch aborts with no effects (including the deletion).
 	s := New(WithShards(2))
 	if _, err := s.CounterAdd("k", 3); err != nil {
 		t.Fatal(err)
@@ -255,8 +304,8 @@ func TestTxnDeleteKindStaysFixedInTxn(t *testing.T) {
 }
 
 // TestDeleteSetRace hammers Delete against Set/CounterAdd on a small hot
-// keyspace on every engine: writers must never resurrect a condemned
-// entry (lost update into a swept table), and the store must end in a
+// keyspace on every engine: writers must never land on a reclaimed
+// entry (lost update into a removed entry), and the store must end in a
 // coherent state where a final Set is durably readable. Run under -race.
 func TestDeleteSetRace(t *testing.T) {
 	for _, e := range kvEngines {
@@ -304,7 +353,7 @@ func TestDeleteSetRace(t *testing.T) {
 				}
 			}
 			if n := s.Len(); n != len(keys) {
-				t.Fatalf("Len=%d, want %d (sweep leaked or lost entries)", n, len(keys))
+				t.Fatalf("Len=%d, want %d (reclaim leaked or lost entries)", n, len(keys))
 			}
 		})
 	}

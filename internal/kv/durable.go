@@ -36,11 +36,14 @@ import (
 // with the post-transaction value — so replay is idempotent and
 // recovery can splice a snapshot anywhere into the record stream.
 //
-// Two mixed-mode paths are, by design, outside the log: key creation
-// via EnsureKeys/EnsureCounters (present-but-unwritten keys reappear
-// on first write) and plain writes through Privatize'd handles.
-// Publish IS logged: its sentinel transactions carry the published
-// values as SET ops.
+// Key creation and deletion need no log records of their own: they are
+// writes of the key's liveness word inside the transaction that makes
+// them, and replay re-creates a key with its first logged write (or
+// removes it with a KindDelete). Two mixed-mode paths are, by design,
+// outside the log: keys EnsureKeys/EnsureCounters or Privatize create
+// without a write (absent after recovery until first written) and plain
+// writes through Privatize'd handles. Publish IS logged: its sentinel
+// transaction carries the published values as SET ops.
 
 // ErrNotDurable reports a durability operation on a store opened
 // without WithDurability.
@@ -149,9 +152,10 @@ type durState struct {
 	ckptFails atomic.Uint64
 
 	// ckptMu + ckptWG fence rotation-triggered checkpoints against
-	// Close: the mutex makes "passed the closed check" and "counted in
-	// the WaitGroup" one atomic step, so Close can drain stragglers
-	// before it closes the logs.
+	// Open and Close: the mutex makes "passed the closed check" and
+	// "counted in the WaitGroup" one atomic step, so Close can drain
+	// stragglers before it closes the logs, and attachLogs holds it so
+	// none starts before every log is attached.
 	ckptMu sync.Mutex
 	ckptWG sync.WaitGroup
 }
@@ -425,15 +429,19 @@ func (sh *shard) replayEntry(key string, counter bool) *entry {
 	if e := tbl[key]; e != nil && e.isCounter() == counter {
 		return e
 	}
-	e := sh.newEntry(key, counter)
+	e := sh.newEntry(key, counter, keyLive)
 	tbl[key] = e
 	return e
 }
 
 // attachLogs opens every shard's log (continuing each repaired tail)
 // plus the cross-shard marker log, and installs the commit taps.
-// Open-time only.
+// Open-time only. It holds ckptMu throughout: opening a log can rotate
+// it, and the checkpoint that rotation starts must wait until every log
+// is attached.
 func (s *Store) attachLogs() error {
+	s.dur.ckptMu.Lock()
+	defer s.dur.ckptMu.Unlock()
 	xo := s.dur.opts
 	xo.Metrics = &s.dur.m
 	xlog, err := wal.OpenLog(s.txnDir(), wal.TxnShard, s.dur.xres, xo)
@@ -574,14 +582,12 @@ func (s *Store) waitTxnDurable(t *pendingTxn) error {
 }
 
 // Checkpoint snapshots every shard and compacts its log. Each shard's
-// snapshot is exact at a commit sequence: it is taken by a marker
-// transaction that reads the shard's whole table (and its keyspace and
-// publication versions, so concurrent key creation or publication
-// conflicts it) and goes through the commit tap — the sequence the tap
-// assigns the (empty) marker record is precisely the state the
-// transaction read. The log is then fsynced through that sequence
-// before the snapshot is installed, so a surviving snapshot never
-// outruns the surviving log.
+// snapshot is one transaction's read of the shard's whole table, placed
+// at the shard's commit sequence as of that transaction's start: it
+// holds every commit up to that sequence, and replaying the log past it
+// yields the current state (see checkpointShard). The log is then
+// fsynced before the snapshot is installed, so a surviving snapshot
+// never outruns the surviving log.
 func (s *Store) Checkpoint() error {
 	if s.dur == nil {
 		return ErrNotDurable
@@ -619,19 +625,30 @@ func (s *Store) checkpointShard(i int) error {
 	defer s.dur.ckptBusy[i].Store(false)
 	sh := s.shards[i]
 	var (
-		pend pendingOps
-		ops  []wal.Op
+		seq uint64
+		ops []wal.Op
 	)
 	err := sh.stm.Atomically(func(tx *stm.Tx) error {
 		ops = ops[:0]
-		pend.reset()
-		// Key creations touch the keyspace version and publications
+		// The snapshot's position is the shard's commit sequence read
+		// before anything else. A commit the snapshot misses wrote a
+		// variable read below after that read, and its tap, which
+		// precedes its writeback, then came after the read too: it is in
+		// the log past seq. A commit sequenced past seq that the snapshot
+		// did bake is replayed again over it, which the absolute ops make
+		// harmless. (The tap of a transaction with no writes would not
+		// do: nothing orders it against other taps once it validated.)
+		sh.feed.mu.Lock()
+		seq = sh.feed.seq
+		sh.feed.mu.Unlock()
+		// Table inserts touch the keyspace version and publications
 		// bump the sentinel; reading both makes either conflict this
-		// snapshot instead of slipping past it.
+		// snapshot instead of slipping past it. Creations and deletions
+		// conflict it through the liveness words read below.
 		_ = tx.Read(sh.kvers)
 		_ = tx.Read(sh.pub)
 		for k, e := range *sh.vars.Load() {
-			if tx.Read(e.dead) != 0 {
+			if tx.Read(e.dead) != keyLive {
 				continue
 			}
 			if e.isCounter() {
@@ -640,28 +657,31 @@ func (s *Store) checkpointShard(i int) error {
 				ops = append(ops, wal.Op{Kind: wal.KindSet, Key: k, Val: stm.ReadT(tx, e.b)})
 			}
 		}
-		tx.SetTapData(&pend) // the marker: its tap seq is the snapshot's position
 		return nil
 	})
 	if err != nil {
 		return fmt.Errorf("kv: checkpoint shard %d: %w", i, err)
 	}
+	if seq == 0 {
+		return nil // nothing logged on this shard yet: nothing to snapshot
+	}
 	// Cross-shard barrier: recovery trusts that a snapshot never bakes
 	// an incomplete cross-shard transaction, so before this snapshot
-	// installs, every cross-shard commit sequenced below it must be
-	// fully queued on every participant shard AND durable there. Any
-	// such commit either finished its taps before our marker
-	// transaction's tap (fully queued) or is in the open set right
-	// after it (the tap registers under the shard feed lock) — wait
-	// those out, then fsync every log so all their records, and the
-	// markers proving them complete, are on disk before the snapshot.
+	// installs, every cross-shard commit sequenced below it or baked
+	// into it must be fully queued on every participant shard AND
+	// durable there. Each such commit tapped this shard before the
+	// snapshot's reads (a tap precedes its writeback), so it has either
+	// finished its taps (fully queued) or is in the open set (the tap
+	// registers under the shard feed lock) — wait those out, then fsync
+	// every log so all their records, and the markers proving them
+	// complete, are on disk before the snapshot.
 	if err := s.crossShardBarrier(); err != nil {
 		return fmt.Errorf("kv: checkpoint shard %d: %w", i, err)
 	}
 	if err := sh.feed.log.Sync(); err != nil {
 		return fmt.Errorf("kv: checkpoint shard %d: %w", i, err)
 	}
-	if err := wal.WriteSnapshotFS(s.dur.fs, s.shardDir(i), uint32(i), pend.seq, ops); err != nil {
+	if err := wal.WriteSnapshotFS(s.dur.fs, s.shardDir(i), uint32(i), seq, ops); err != nil {
 		return fmt.Errorf("kv: checkpoint shard %d: %w", i, err)
 	}
 	s.dur.ckpts.Add(1)

@@ -114,11 +114,11 @@ func (sub *Subscription) Close() {
 		sub.mu.Unlock()
 		return
 	}
-	sub.closed = true
-	close(sub.ch)
+	sub.closed = true // deliver sends nothing from here on
 	sub.mu.Unlock()
-	close(sub.done)
 
+	// Unregister before closing Events, so a consumer that sees the
+	// channel close also sees the subscription gone.
 	s := sub.store
 	s.subMu.Lock()
 	if old := s.subs.Load(); old != nil {
@@ -135,6 +135,8 @@ func (sub *Subscription) Close() {
 		}
 	}
 	s.subMu.Unlock()
+	close(sub.ch)
+	close(sub.done)
 }
 
 // deliver offers one event to the subscription: non-blocking, dropping

@@ -21,10 +21,13 @@
 // transactional readers. Read-only multi-key snapshots (View, MGet) ride
 // stm.AtomicallyReadMulti instead and never take write locks at all.
 //
-// Deletion (Delete, Txn.Delete) is tombstone-then-sweep: a transactional
-// per-entry liveness flag commits first, then the key is removed from
-// the COW table, so concurrent transactions serialize against the
-// tombstone write rather than racing the table edit.
+// Whether a key exists is one transactional word per entry, its
+// liveness. Creating, deleting and re-creating a key are all writes of
+// that word inside the transaction that does them, so a key appears and
+// disappears atomically with the rest of its transaction: a creator that
+// aborts or has not committed is invisible to every reader. The
+// copy-on-write table only holds memory; an entry leaves it once a
+// reclaim transaction has retired its liveness word (see entry).
 //
 // Mixed-mode access follows the paper's §5 implementation model:
 //
@@ -116,19 +119,38 @@ func WithMetricsSampling(n int) Option {
 }
 
 // entry is one key's storage: exactly one of b (bytes kind) or c
-// (counter kind) is non-nil, fixed at creation. dead is the tombstone —
-// a transactional liveness flag (0 live, 1 condemned) that makes
-// deletion serializable even though the key table itself is not
-// transactional: Delete commits dead=1 and only then removes the key
-// from the COW table (the sweep), so any transaction that read the key
-// concurrently validates against the tombstone write and retries onto
-// the updated table. Committed condemnation is permanent for an entry;
-// re-creating the key installs a fresh entry (which may change kind).
+// (counter kind) is non-nil, fixed when the entry is made. dead is the
+// key's liveness word and the only record of whether the key exists:
+//
+//   - keyLive: the key exists.
+//   - keyAbsent: it does not. Transactional writers insert new entries
+//     absent, and the transaction that creates the key writes keyLive in
+//     its own write set; Delete writes keyAbsent back. A transaction
+//     that reads the word serializes against both.
+//   - keyReclaimed: terminal. A reclaim transaction moved the absent
+//     entry here, and it is leaving the table (shard.reclaim). Readers
+//     see an absent key; writers retry until a new entry replaces it.
+//
+// The key table itself is not transactional, so an entry leaves it only
+// after its word is keyReclaimed, and readers that find no entry join
+// the shard's keyspace version instead (see present).
 type entry struct {
 	b    *stm.TVar[[]byte]
 	c    *stm.Var
 	dead *stm.Var
 }
+
+// The values of entry.dead.
+const (
+	keyLive int64 = iota
+	keyAbsent
+	keyReclaimed
+)
+
+// errStale is a write body's report that it met an absent entry of the
+// other kind: the caller reclaims it outside the transaction and runs
+// the write again, which is how deleting a key frees its kind.
+var errStale = errors.New("kv: absent entry of the other kind")
 
 func (e *entry) isCounter() bool { return e.c != nil }
 
@@ -184,11 +206,10 @@ type shard struct {
 
 	// kvers is the keyspace version: a transactional variable Touched
 	// (version-stamped and waiter-notified, value untouched) after every
-	// insertion into or sweep from the copy-on-write key table. The key
-	// table itself is not transactional, so this is how a blocked
-	// WaitGet/Watch observes key creation and deletion: its transaction
-	// reads kvers when the key is absent or condemned, and the Touch
-	// wakes it to re-route the key (see stm.STM.Touch).
+	// insertion into or removal from the copy-on-write key table. A
+	// transaction that finds no entry for a key reads kvers instead, so
+	// a later insertion conflicts it or wakes it (see present and
+	// stm.STM.Touch).
 	kvers *stm.Var
 
 	mu   sync.Mutex                        // guards insertions into vars
@@ -344,151 +365,217 @@ func wrongType(key string) error {
 	return fmt.Errorf("kv: key %q: %w", key, ErrWrongType)
 }
 
-// checkBytesKinds rejects keys that already exist as counters, without
-// creating anything. Callers still handle ensure errors: a key created
-// concurrently between this check and ensure is caught there.
-func (s *Store) checkBytesKinds(keys []string) error {
-	for _, k := range keys {
-		if e := s.shards[s.ShardOf(k)].lookup(k); e != nil && e.isCounter() {
-			return wrongType(k)
-		}
-	}
-	return nil
-}
-
-func (sh *shard) newEntry(key string, counter bool) *entry {
-	dead := sh.stm.NewVar(key+"\x00dead", 0)
+func (sh *shard) newEntry(key string, counter bool, state int64) *entry {
+	dead := sh.stm.NewVar(key+"\x00dead", state)
 	if counter {
 		return &entry{c: sh.stm.NewVar(key, 0), dead: dead}
 	}
 	return &entry{b: stm.NewTVar(sh.stm, key, []byte(nil)), dead: dead}
 }
 
-// ensure returns the key's entry of the requested kind, creating it on
-// first use (bytes keys start nil-valued but present; counters start 0).
-// Creation copies the shard's table, so steady-state reads stay
-// lock-free; use EnsureKeys / EnsureCounters to amortize bulk loads.
-func (sh *shard) ensure(key string, counter bool) (*entry, error) {
-	if e := sh.lookup(key); e != nil {
-		if e.isCounter() != counter {
-			return nil, wrongType(key)
+// insert adds an entry of the given kind and liveness for every key
+// (all routed to sh) that the table lacks, with one table copy, and
+// Touches the keyspace version. Keys already in the table keep their
+// entry whatever its kind or state. It returns each key's entry,
+// aligned with keys. Transactional writers insert keyAbsent and let
+// their transaction create the key; keyLive is for keys no transaction
+// can have read yet (EnsureKeys, Privatize). Steady-state reads stay
+// lock-free because the table is copied, not mutated.
+func (sh *shard) insert(keys []string, counter bool, state int64) []*entry {
+	es := make([]*entry, len(keys))
+	sh.mu.Lock()
+	tbl := *sh.vars.Load()
+	copied := false
+	for i, k := range keys {
+		if es[i] = tbl[k]; es[i] != nil {
+			continue
 		}
-		return e, nil
+		if !copied {
+			next := make(map[string]*entry, len(tbl)+len(keys))
+			for k, v := range tbl {
+				next[k] = v
+			}
+			tbl, copied = next, true
+		}
+		es[i] = sh.newEntry(k, counter, state)
+		tbl[k] = es[i]
+	}
+	if copied {
+		sh.vars.Store(&tbl)
+	}
+	sh.mu.Unlock()
+	if copied {
+		// Touch takes only leaf locks, so it is safe here even when
+		// insert runs inside an open transaction (Txn.Set/Add).
+		sh.stm.Touch(sh.kvers)
+	}
+	return es
+}
+
+// entryFor returns key's entry, first inserting an absent one of the
+// given kind when the table has none; inserted reports that it did.
+func (sh *shard) entryFor(key string, counter bool) (e *entry, inserted bool) {
+	if e := sh.lookup(key); e != nil {
+		return e, false
+	}
+	return sh.insert([]string{key}, counter, keyAbsent)[0], true
+}
+
+// claim readies entry e for a write of the given kind in tx. When the
+// key is absent the write creates it: claim writes keyLive and reports
+// created (a counter then starts from zero). A reclaimed entry retries
+// the attempt, which finds its replacement. A live entry of the other
+// kind is ErrWrongType; an absent one is errStale.
+func claim(tx *stm.Tx, e *entry, key string, counter bool) (created bool, err error) {
+	state := tx.Read(e.dead)
+	switch {
+	case state == keyReclaimed:
+		tx.Retry()
+	case e.isCounter() != counter && state == keyLive:
+		return false, wrongType(key)
+	case e.isCounter() != counter:
+		return false, errStale
+	case state == keyAbsent:
+		tx.Write(e.dead, keyLive)
+		return true, nil
+	}
+	return false, nil
+}
+
+// txReader is the part of a transaction handle present needs; both
+// *stm.Tx and *stm.ReadTx have it.
+type txReader interface {
+	Read(*stm.Var) int64
+	Retry()
+}
+
+// present returns key's entry if the key is live in r. A key found
+// absent is in r's read set too, so the transaction serializes against
+// the key's creation: through the entry's liveness word when the table
+// has an entry, and otherwise through the shard's keyspace version,
+// which every table edit Touches. The kvers read comes before the table
+// is looked up again: an edit whose Touch landed before the read stored
+// its table first, so the second lookup sees it and the attempt restarts
+// (on the glock and tl2 engines the kvers read alone can absorb such a
+// Touch without conflicting). A later edit fails validation, or wakes a
+// parked transaction.
+func present(r txReader, sh *shard, key string) (*entry, bool) {
+	e := sh.lookup(key)
+	if e != nil {
+		switch r.Read(e.dead) {
+		case keyLive:
+			return e, true
+		case keyAbsent:
+			return nil, false
+		}
+	}
+	// No entry, or a reclaimed one on its way out of the table.
+	r.Read(sh.kvers)
+	if sh.lookup(key) != e {
+		r.Retry()
+	}
+	return nil, false
+}
+
+// reclaim frees the entries of keys (all routed to sh) that are not
+// live: one transaction moves them to keyReclaimed, and only then do
+// they leave the table, in one copy. It runs after an Update that
+// inserted or deleted keys (Delete included), after a single-key write
+// fails, and when a writer meets an absent entry of the other kind.
+func (sh *shard) reclaim(keys []string) {
+	gone := make(map[string]*entry, len(keys))
+	err := sh.stm.Atomically(func(tx *stm.Tx) error {
+		clear(gone)
+		for _, k := range keys {
+			if e := sh.lookup(k); e != nil && tx.Read(e.dead) != keyLive {
+				tx.Write(e.dead, keyReclaimed)
+				gone[k] = e
+			}
+		}
+		return nil
+	})
+	if err != nil || len(gone) == 0 {
+		return // a spent retry budget leaves the entries absent, which is safe
 	}
 	sh.mu.Lock()
 	old := *sh.vars.Load()
-	if e := old[key]; e != nil {
-		sh.mu.Unlock()
-		if e.isCounter() != counter {
-			return nil, wrongType(key)
-		}
-		return e, nil
-	}
-	next := make(map[string]*entry, len(old)+1)
+	next := make(map[string]*entry, len(old))
 	for k, v := range old {
-		next[k] = v
+		if gone[k] != v { // a key re-inserted since keeps its new entry
+			next[k] = v
+		}
 	}
-	e := sh.newEntry(key, counter)
-	next[key] = e
 	sh.vars.Store(&next)
 	sh.mu.Unlock()
-	// The keyspace changed: wake WaitGet/Watch transactions parked on
-	// the key's absence. Touch takes only leaf locks, so it is safe here
-	// even when ensure runs inside an open transaction (Txn.Set/Add).
 	sh.stm.Touch(sh.kvers)
-	return e, nil
 }
 
-// ensureLive returns a live entry of the requested kind for key: like
-// ensure, but a condemned entry (tombstone committed, sweep not yet
-// done) is helped out of the table and re-created instead of being
-// handed to the caller, whose writes would otherwise be lost to the
-// concurrent sweep. The liveness check is transactional, so an in-flight
-// eager delete resolves before we judge the entry.
-func (s *Store) ensureLive(sh *shard, key string, counter bool) (*entry, error) {
-	for {
-		e, err := sh.ensure(key, counter)
-		if err != nil {
-			return nil, err
-		}
-		dead := false
-		if err := sh.stm.AtomicallyRead(func(r *stm.ReadTx) error {
-			dead = r.Read(e.dead) != 0
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-		if !dead {
-			return e, nil
-		}
-		s.sweep(map[string]*entry{key: e}) // help the deleter, then re-create
-	}
-}
-
-// ensureBulk creates all missing keys of one kind with one table copy per
-// shard instead of one per key. Existing keys keep their kind; existing
-// condemned entries are help-swept and re-created (one transactional
-// liveness check per shard, not per key).
-func (s *Store) ensureBulk(counter bool, keys []string) {
-	byShard := make(map[int][]string)
+// byShard groups keys by owning shard.
+func (s *Store) byShard(keys []string) map[int][]string {
+	out := make(map[int][]string)
 	for _, k := range keys {
 		i := s.ShardOf(k)
-		byShard[i] = append(byShard[i], k)
+		out[i] = append(out[i], k)
 	}
-	for i, ks := range byShard {
-		sh := s.shards[i]
-		for {
-			reused := make(map[string]*entry)
-			sh.mu.Lock()
-			old := *sh.vars.Load()
-			next := make(map[string]*entry, len(old)+len(ks))
-			for k, v := range old {
-				next[k] = v
+	return out
+}
+
+// reclaim frees the absent entries among keys, shard by shard (see
+// shard.reclaim).
+func (s *Store) reclaim(keys []string) {
+	for i, ks := range s.byShard(keys) {
+		s.shards[i].reclaim(ks)
+	}
+}
+
+// create makes every key live as the given kind, leaving live keys of
+// either kind as they are, and records each key's entry in out when out
+// is not nil. A key the table lacks is inserted live at once, with one
+// table copy per shard: no transaction can have read an entry that was
+// not there. Keys that already had an entry but not a live one (a
+// deleted key's, say, or one whose creator has not committed) are
+// created by one transaction, which reclaims an absent entry of the
+// other kind on the way like any writer. The error is that
+// transaction's, e.g. ErrWrongType when a key turned live as the other
+// kind under it.
+func (s *Store) create(counter bool, keys []string, out map[string]*entry) error {
+	var rest []string
+	for i, ks := range s.byShard(keys) {
+		for j, e := range s.shards[i].insert(ks, counter, keyLive) {
+			if out != nil {
+				out[ks[j]] = e
 			}
-			for _, k := range ks {
-				if e := next[k]; e != nil {
-					reused[k] = e
-				} else {
-					next[k] = sh.newEntry(k, counter)
-				}
-			}
-			sh.vars.Store(&next)
-			sh.mu.Unlock()
-			if len(reused) < len(ks) {
-				sh.stm.Touch(sh.kvers) // created at least one key
-			}
-			if len(reused) == 0 {
-				break
-			}
-			// Re-check reused entries' liveness in one transaction;
-			// condemned ones are swept and the loop re-creates them.
-			condemned := make(map[string]*entry)
-			err := sh.stm.AtomicallyRead(func(r *stm.ReadTx) error {
-				clear(condemned)
-				for k, e := range reused {
-					if r.Read(e.dead) != 0 {
-						condemned[k] = e
-					}
-				}
-				return nil
-			})
-			if err != nil || len(condemned) == 0 {
-				break
-			}
-			s.sweep(condemned)
-			ks = ks[:0]
-			for k := range condemned {
-				ks = append(ks, k)
+			if e.dead.Load() != keyLive {
+				rest = append(rest, ks[j])
 			}
 		}
 	}
+	if len(rest) == 0 {
+		return nil
+	}
+	return s.Update(rest, func(t *Txn) error {
+		for _, k := range rest {
+			tx, _, e, created := t.bind(k, counter)
+			if out != nil && e != nil {
+				out[k] = e
+			}
+			switch {
+			case !created:
+			case counter:
+				tx.Write(e.c, 0)
+			default:
+				stm.WriteT(tx, e.b, []byte(nil))
+			}
+		}
+		return nil
+	})
 }
 
 // EnsureKeys creates all missing keys as bytes keys (present, nil value).
-func (s *Store) EnsureKeys(keys ...string) { s.ensureBulk(false, keys) }
+func (s *Store) EnsureKeys(keys ...string) { _ = s.create(false, keys, nil) }
 
 // EnsureCounters creates all missing keys as counters initialized to 0.
-func (s *Store) EnsureCounters(keys ...string) { s.ensureBulk(true, keys) }
+func (s *Store) EnsureCounters(keys ...string) { _ = s.create(true, keys, nil) }
 
 // Len returns the number of keys present.
 func (s *Store) Len() int {
@@ -585,8 +672,8 @@ func (op *singleOp) release() {
 
 func (op *singleOp) runGet(r *stm.ReadTx) error {
 	op.val, op.ok = nil, false
-	e := op.sh.lookup(op.key) // re-resolve per attempt: the entry may be swept
-	if e == nil || r.Read(e.dead) != 0 {
+	e := op.sh.lookup(op.key) // re-resolve per attempt: the entry may be reclaimed
+	if e == nil || r.Read(e.dead) != keyLive {
 		return nil
 	}
 	if e.isCounter() {
@@ -601,8 +688,11 @@ func (op *singleOp) runGet(r *stm.ReadTx) error {
 func (op *singleOp) runCounterGet(r *stm.ReadTx) error {
 	op.n, op.ok = 0, false
 	e := op.sh.lookup(op.key)
-	if e == nil || !e.isCounter() || r.Read(e.dead) != 0 {
+	if e == nil || r.Read(e.dead) != keyLive {
 		return nil
+	}
+	if !e.isCounter() {
+		return wrongType(op.key)
 	}
 	op.n = r.Read(e.c)
 	op.ok = true
@@ -610,14 +700,9 @@ func (op *singleOp) runCounterGet(r *stm.ReadTx) error {
 }
 
 func (op *singleOp) runSet(tx *stm.Tx) error {
-	e, err := op.sh.ensure(op.key, false)
-	if err != nil {
+	e, _ := op.sh.entryFor(op.key, false)
+	if _, err := claim(tx, e, op.key, false); err != nil {
 		return err
-	}
-	if tx.Read(e.dead) != 0 {
-		// Condemned by a concurrent Delete whose table removal is in
-		// flight; retry onto the swept table (a fresh entry).
-		tx.Retry()
 	}
 	stm.WriteT(tx, e.b, op.val)
 	if op.s.tapOn.Load() {
@@ -629,14 +714,15 @@ func (op *singleOp) runSet(tx *stm.Tx) error {
 }
 
 func (op *singleOp) runAdd(tx *stm.Tx) error {
-	e, err := op.sh.ensure(op.key, true)
+	e, _ := op.sh.entryFor(op.key, true)
+	created, err := claim(tx, e, op.key, true)
 	if err != nil {
 		return err
 	}
-	if tx.Read(e.dead) != 0 {
-		tx.Retry() // see runSet
+	op.n = op.delta
+	if !created {
+		op.n += tx.Read(e.c)
 	}
-	op.n = tx.Read(e.c) + op.delta
 	tx.Write(e.c, op.n)
 	if op.s.tapOn.Load() {
 		// Logged absolute (KindCounterSet, the post-transaction value),
@@ -646,6 +732,24 @@ func (op *singleOp) runAdd(tx *stm.Tx) error {
 		tx.SetTapData(&op.pend)
 	}
 	return nil
+}
+
+// write runs a single-key write body to commit and waits for its
+// durability. A write that fails leaves nothing behind: the key's entry
+// is reclaimed if it is absent, e.g. one the write inserted. errStale
+// reclaims the absent entry of the other kind the body met, and the
+// write runs again.
+func (s *Store) write(op *singleOp, body func(*stm.Tx) error) error {
+	for {
+		err := op.sh.stm.Atomically(body)
+		if err == nil {
+			return s.waitDurable(op.sh, &op.pend)
+		}
+		op.sh.reclaim([]string{op.key})
+		if err != errStale {
+			return err
+		}
+	}
 }
 
 // Get performs a consistent transactional read of one key (counters are
@@ -683,10 +787,8 @@ func (s *Store) Get(key string) (val []byte, ok bool, err error) {
 // ok is false when the key is absent; a bytes key returns ErrWrongType.
 func (s *Store) CounterGet(key string) (val int64, ok bool, err error) {
 	sh := s.shards[s.ShardOf(key)]
-	if e := sh.lookup(key); e == nil {
+	if sh.lookup(key) == nil {
 		return 0, false, nil
-	} else if !e.isCounter() {
-		return 0, false, wrongType(key)
 	}
 	op := s.singleOps.Get().(*singleOp)
 	op.sh, op.key = sh, key
@@ -721,10 +823,7 @@ func (s *Store) Set(key string, val []byte) error {
 	if sampled {
 		t0 = time.Now()
 	}
-	err := sh.stm.Atomically(op.setFn)
-	if err == nil {
-		err = s.waitDurable(sh, &op.pend)
-	}
+	err := s.write(op, op.setFn)
 	op.release()
 	if sampled {
 		s.opHists[OpSet].Observe(time.Since(t0).Nanoseconds())
@@ -748,10 +847,7 @@ func (s *Store) CounterAdd(key string, delta int64) (int64, error) {
 	if sampled {
 		t0 = time.Now()
 	}
-	err := sh.stm.Atomically(op.addFn)
-	if err == nil {
-		err = s.waitDurable(sh, &op.pend)
-	}
+	err := s.write(op, op.addFn)
 	out := op.n
 	op.release()
 	if sampled {
@@ -761,96 +857,16 @@ func (s *Store) CounterAdd(key string, delta int64) (int64, error) {
 }
 
 // Delete transactionally removes a key of either kind. It reports
-// whether the key existed. Deletion is two-step: the entry's tombstone
-// commits first (serializing against every transaction that touched the
-// key), then the key is swept from the copy-on-write table. A later Set
-// or CounterAdd re-creates the key fresh — so deletion also frees the
-// key's kind.
-func (s *Store) Delete(key string) (bool, error) {
-	if err := s.degradedGate(); err != nil {
-		return false, err
-	}
-	sh := s.shards[s.ShardOf(key)]
-	var condemned *entry
-	var pend pendingOps
-	existed := false
-	err := sh.stm.Atomically(func(tx *stm.Tx) error {
-		condemned, existed = nil, false
-		pend.reset()
-		e := sh.lookup(key)
-		if e == nil {
-			return nil
-		}
-		if tx.Read(e.dead) != 0 {
-			// Already condemned by a concurrent Delete; help its sweep.
-			condemned = e
-			return nil
-		}
-		tx.Write(e.dead, 1)
-		condemned = e
-		existed = true
-		if s.tapOn.Load() {
-			pend.ops = append(pend.ops, wal.Op{Kind: wal.KindDelete, Key: key})
-			tx.SetTapData(&pend)
-		}
+// whether the key existed. The transaction writes the key's liveness
+// word absent; afterwards the entry is reclaimed from the table, so a
+// later Set or CounterAdd starts a fresh entry and deletion also frees
+// the key's kind.
+func (s *Store) Delete(key string) (existed bool, err error) {
+	err = s.Update([]string{key}, func(t *Txn) error {
+		existed = t.Delete(key)
 		return nil
 	})
-	if err != nil {
-		return false, err
-	}
-	if condemned != nil {
-		s.sweep(map[string]*entry{key: condemned})
-	}
-	if werr := s.waitDurable(sh, &pend); werr != nil {
-		return existed, werr
-	}
-	return existed, nil
-}
-
-// sweep removes condemned entries from their shards' COW tables. The
-// identity check (table still maps the key to the condemned entry) makes
-// the sweep safe against concurrent re-creation: once an entry's
-// tombstone is committed nothing ever writes its dead flag again, so
-// matching identity implies the entry really is condemned.
-func (s *Store) sweep(condemned map[string]*entry) {
-	byShard := make(map[int]map[string]*entry)
-	for k, e := range condemned {
-		i := s.ShardOf(k)
-		if byShard[i] == nil {
-			byShard[i] = make(map[string]*entry)
-		}
-		byShard[i][k] = e
-	}
-	for i, kills := range byShard {
-		sh := s.shards[i]
-		sh.mu.Lock()
-		old := *sh.vars.Load()
-		any := false
-		for k, e := range kills {
-			if old[k] == e {
-				any = true
-				break
-			}
-		}
-		if any {
-			next := make(map[string]*entry, len(old))
-			for k, v := range old {
-				if e, kill := kills[k]; kill && v == e {
-					continue
-				}
-				next[k] = v
-			}
-			sh.vars.Store(&next)
-		}
-		sh.mu.Unlock()
-		if any {
-			// The swept entries' variables will never change again, so
-			// waiters parked through them (a WaitGet that saw the
-			// tombstone) move to the keyspace version — announce the
-			// table change there.
-			sh.stm.Touch(sh.kvers)
-		}
-	}
+	return existed, err
 }
 
 // MGet reads the given keys in one read-only transaction spanning every
@@ -907,11 +923,13 @@ type Txn struct {
 	tap   bool
 	pends []pendingOps
 
-	// deleted tracks keys tombstoned by this transaction, for the
-	// post-commit sweep and for in-transaction resurrection (a Set or Add
-	// after a Delete of the same key un-condemns the entry instead of
-	// spinning on it).
-	deleted map[string]*entry
+	// touched collects, across attempts, the keys whose entries this
+	// Update inserted or deleted: when it finishes, the ones left absent
+	// are reclaimed. stale is the absent entry of the other kind (and
+	// staleKey its key) that failed the attempt with errStale.
+	touched  *[]string
+	stale    *entry
+	staleKey string
 }
 
 // emit appends op to footprint position j's effect list, attaching the
@@ -952,13 +970,28 @@ func (t *Txn) resolve(key string) (int, int, *stm.Tx, bool) {
 	return i, 0, nil, false
 }
 
-// live returns whether e is readable by this transaction: not condemned,
-// or condemned by this very transaction and not resurrected.
-func (t *Txn) live(tx *stm.Tx, key string, e *entry) bool {
-	if _, mine := t.deleted[key]; mine {
-		return false // deleted earlier in this transaction
+// bind resolves key for a write of the given kind inside the
+// transaction (see claim), inserting an absent entry when the table has
+// none. e is nil when the transaction failed instead; created reports
+// that the write creates the key.
+func (t *Txn) bind(key string, counter bool) (tx *stm.Tx, j int, e *entry, created bool) {
+	i, j, tx, ok := t.resolve(key)
+	if !ok {
+		return nil, 0, nil, false
 	}
-	return tx.Read(e.dead) == 0
+	e, inserted := t.s.shards[i].entryFor(key, counter)
+	if inserted {
+		*t.touched = append(*t.touched, key)
+	}
+	created, err := claim(tx, e, key, counter)
+	if err != nil {
+		if err == errStale && t.err == nil {
+			t.stale, t.staleKey = e, key
+		}
+		t.fail(err)
+		return nil, 0, nil, false
+	}
+	return tx, j, e, created
 }
 
 // Get reads key inside the transaction; ok is false when the key is
@@ -969,8 +1002,8 @@ func (t *Txn) Get(key string) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	e := t.s.shards[i].lookup(key)
-	if e == nil || !t.live(tx, key, e) {
+	e, ok := present(tx, t.s.shards[i], key)
+	if !ok {
 		return nil, false
 	}
 	if e.isCounter() {
@@ -980,24 +1013,13 @@ func (t *Txn) Get(key string) ([]byte, bool) {
 }
 
 // Set writes a bytes key inside the transaction, creating it if absent.
-// The value is copied on the way in. Setting a key deleted earlier in
-// the same transaction resurrects it (same entry, so the kind must still
-// match).
+// The value is copied on the way in. A key deleted earlier in the same
+// transaction is created again on the same entry, so its kind cannot
+// change within one transaction.
 func (t *Txn) Set(key string, val []byte) {
-	i, j, tx, ok := t.resolve(key)
-	if !ok {
+	tx, j, e, _ := t.bind(key, false)
+	if e == nil {
 		return
-	}
-	e, err := t.s.shards[i].ensure(key, false)
-	if err != nil {
-		t.fail(err)
-		return
-	}
-	if _, mine := t.deleted[key]; mine {
-		tx.Write(e.dead, 0) // resurrect our own tombstone
-		delete(t.deleted, key)
-	} else if tx.Read(e.dead) != 0 {
-		tx.Retry() // concurrent Delete's sweep in flight; see Store.Set
 	}
 	v := copyVal(val)
 	stm.WriteT(tx, e.b, v)
@@ -1005,32 +1027,18 @@ func (t *Txn) Set(key string, val []byte) {
 }
 
 // Add adds delta to a counter key inside the transaction and returns the
-// new value. The key is routed and resolved once (this is the hot path of
-// TXN ADD and the transfer benchmarks).
+// new value; a key it creates, including one deleted earlier in the
+// same transaction, starts from zero. The key is routed and resolved
+// once (this is the hot path of TXN ADD and the transfer benchmarks).
 func (t *Txn) Add(key string, delta int64) int64 {
-	i, j, tx, ok := t.resolve(key)
-	if !ok {
+	tx, j, e, created := t.bind(key, true)
+	if e == nil {
 		return 0
 	}
-	e, err := t.s.shards[i].ensure(key, true)
-	if err != nil {
-		t.fail(err)
-		return 0
+	nv := delta
+	if !created {
+		nv += tx.Read(e.c)
 	}
-	if _, mine := t.deleted[key]; mine {
-		// Resurrect our own tombstone. The deleted key read as absent, so
-		// the counter restarts at zero — the same result a committed
-		// Delete followed by CounterAdd produces via a fresh entry.
-		tx.Write(e.dead, 0)
-		delete(t.deleted, key)
-		tx.Write(e.c, delta)
-		t.emit(j, tx, wal.Op{Kind: wal.KindCounterSet, Key: key, N: delta})
-		return delta
-	}
-	if tx.Read(e.dead) != 0 {
-		tx.Retry()
-	}
-	nv := tx.Read(e.c) + delta
 	tx.Write(e.c, nv)
 	t.emit(j, tx, wal.Op{Kind: wal.KindCounterSet, Key: key, N: nv})
 	return nv
@@ -1042,50 +1050,30 @@ func (t *Txn) Add(key string, delta int64) int64 {
 // logged absolute so replay is idempotent), and is useful anywhere an
 // absolute counter write is wanted transactionally.
 func (t *Txn) CounterSet(key string, n int64) {
-	i, j, tx, ok := t.resolve(key)
-	if !ok {
+	tx, j, e, _ := t.bind(key, true)
+	if e == nil {
 		return
-	}
-	e, err := t.s.shards[i].ensure(key, true)
-	if err != nil {
-		t.fail(err)
-		return
-	}
-	if _, mine := t.deleted[key]; mine {
-		tx.Write(e.dead, 0) // resurrect our own tombstone
-		delete(t.deleted, key)
-	} else if tx.Read(e.dead) != 0 {
-		tx.Retry() // concurrent Delete's sweep in flight; see Store.Set
 	}
 	tx.Write(e.c, n)
 	t.emit(j, tx, wal.Op{Kind: wal.KindCounterSet, Key: key, N: n})
 }
 
-// Delete tombstones a key of either kind inside the transaction,
-// reporting whether it existed. The committed removal from the key table
-// happens after the transaction commits (see Store.Delete); within the
-// transaction the key reads as absent, and a later Set/Add of the same
-// key resurrects it.
+// Delete removes a key of either kind inside the transaction, reporting
+// whether it existed: it writes the key's liveness word absent, and the
+// entry is reclaimed from the table after the Update finishes. Within
+// the transaction the key then reads as absent, and a later Set/Add of
+// it creates it again.
 func (t *Txn) Delete(key string) bool {
 	i, j, tx, ok := t.resolve(key)
 	if !ok {
 		return false
 	}
-	e := t.s.shards[i].lookup(key)
-	if e == nil {
+	e, ok := present(tx, t.s.shards[i], key)
+	if !ok {
 		return false
 	}
-	if _, mine := t.deleted[key]; mine {
-		return false // already deleted in this transaction
-	}
-	if tx.Read(e.dead) != 0 {
-		return false // already condemned by a committed Delete
-	}
-	tx.Write(e.dead, 1)
-	if t.deleted == nil {
-		t.deleted = make(map[string]*entry, 2)
-	}
-	t.deleted[key] = e
+	tx.Write(e.dead, keyAbsent)
+	*t.touched = append(*t.touched, key)
 	t.emit(j, tx, wal.Op{Kind: wal.KindDelete, Key: key})
 	return true
 }
@@ -1128,6 +1116,10 @@ type multiOp struct {
 	txn   Txn
 	view  ViewTxn
 
+	// touched is the Update's Txn.touched: kept across attempts, and
+	// reclaimed when the Update finishes.
+	touched []string
+
 	updateFn  func(*Txn) error     // the user's Update body
 	viewFn    func(*ViewTxn) error // the user's View body
 	runUpdate func([]*stm.Tx) error
@@ -1144,7 +1136,8 @@ func (op *multiOp) update(txs []*stm.Tx) error {
 	t.idxs = op.idxs
 	t.txs = txs
 	t.err = nil
-	t.deleted = nil // only the committed attempt's tombstones are swept
+	t.touched = &op.touched
+	t.stale, t.staleKey = nil, ""
 	t.tap = op.s.tapOn.Load()
 	if t.tap {
 		for len(op.pends) < len(op.idxs) {
@@ -1216,6 +1209,8 @@ func (op *multiOp) release() {
 	for j := range op.pends {
 		op.pends[j].reset() // drop key/value references, keep capacity
 	}
+	clear(op.touched)
+	op.touched = op.touched[:0]
 	op.txn = Txn{}
 	op.view = ViewTxn{}
 	op.updateFn, op.viewFn = nil, nil
@@ -1250,37 +1245,40 @@ func (s *Store) UpdateCtx(ctx context.Context, keys []string, fn func(*Txn) erro
 		t0 = time.Now()
 	}
 	err := stm.AtomicallyMultiCtx(ctx, op.stms, op.runUpdate)
-	committed := err == nil
-	deleted := op.txn.deleted
-	if committed && op.txn.tap && s.fsyncLevel() {
+	for err == errStale {
+		// An absent entry of the other kind: reclaim it and run again. If
+		// reclaim left it in place it is live, so the absence was this
+		// transaction's own Delete, and the kind cannot change within one
+		// transaction.
+		sh, key := s.shards[s.ShardOf(op.txn.staleKey)], op.txn.staleKey
+		if sh.reclaim([]string{key}); sh.lookup(key) == op.txn.stale {
+			err = wrongType(key)
+			break
+		}
+		err = stm.AtomicallyMultiCtx(ctx, op.stms, op.runUpdate)
+	}
+	if len(op.touched) > 0 {
+		s.reclaim(op.touched)
+	}
+	if err == nil && op.txn.tap && s.fsyncLevel() {
 		var xt *pendingTxn
 		for j, i := range op.idxs {
-			if p := &op.pends[j]; p.seq != 0 {
-				if p.txn != nil {
-					xt = p.txn
-				}
-				if werr := s.shards[i].feed.log.WaitDurable(p.seq); werr != nil {
-					err = werr
-					break
-				}
+			if p := &op.pends[j]; p.txn != nil {
+				xt = p.txn
+			}
+			if err = s.waitDurable(s.shards[i], &op.pends[j]); err != nil {
+				break
 			}
 		}
 		// A cross-shard commit is acknowledged only once its marker is
 		// durable too: records without the marker roll back on recovery.
 		if err == nil {
-			if werr := s.waitTxnDurable(xt); werr != nil {
-				err = werr
-			}
+			err = s.waitTxnDurable(xt)
 		}
 	}
 	op.release()
 	if sampled {
 		s.opHists[OpUpdate].Observe(time.Since(t0).Nanoseconds())
-	}
-	// The sweep keys off the commit, not the durable wait: a failed wait
-	// reports the log's sticky error, but the tombstones are committed.
-	if committed && len(deleted) > 0 {
-		s.sweep(deleted)
 	}
 	return err
 }
@@ -1303,8 +1301,8 @@ func (t *ViewTxn) fail(err error) {
 }
 
 // resolve routes key to its live entry within the view's footprint.
-// ok is false (with no error) for absent or condemned keys, and the view
-// fails when the key's shard is outside the footprint.
+// ok is false (with no error) for absent keys, and the view fails when
+// the key's shard is outside the footprint.
 func (t *ViewTxn) resolve(key string) (*stm.ReadTx, *entry, bool) {
 	i := t.s.ShardOf(key)
 	var r *stm.ReadTx
@@ -1318,11 +1316,8 @@ func (t *ViewTxn) resolve(key string) (*stm.ReadTx, *entry, bool) {
 		t.fail(fmt.Errorf("kv: key %q is outside the view footprint", key))
 		return nil, nil, false
 	}
-	e := t.s.shards[i].lookup(key)
-	if e == nil || r.Read(e.dead) != 0 {
-		return nil, nil, false
-	}
-	return r, e, true
+	e, ok := present(r, t.s.shards[i], key)
+	return r, e, ok
 }
 
 // Get reads key inside the view; ok is false when the key is absent.
@@ -1390,18 +1385,27 @@ func (s *Store) ViewCtx(ctx context.Context, keys []string, fn func(*ViewTxn) er
 func (s *Store) Privatize(keys ...string) ([]*stm.TVar[[]byte], error) {
 	// Check kinds before creating anything, so a wrong-type failure does
 	// not leave phantom bytes keys behind for the keys processed first.
-	if err := s.checkBytesKinds(keys); err != nil {
+	err := s.View(keys, func(t *ViewTxn) error {
+		for _, k := range keys {
+			if _, ok := t.Counter(k); ok {
+				return wrongType(k)
+			}
+		}
+		return nil
+	})
+	es := make(map[string]*entry, len(keys))
+	if err == nil {
+		err = s.create(false, keys, es)
+	}
+	if err != nil {
 		return nil, err
 	}
 	vars := make([]*stm.TVar[[]byte], len(keys))
 	for i, k := range keys {
-		// ensureLive, not ensure: a handle on a condemned entry would have
-		// every subsequent plain Store silently lost to the sweep.
-		e, err := s.ensureLive(s.shards[s.ShardOf(k)], k, false)
-		if err != nil {
-			return nil, err
+		if es[k].isCounter() { // turned live as a counter after the check
+			return nil, wrongType(k)
 		}
-		vars[i] = e.b
+		vars[i] = es[k].b
 	}
 	for _, i := range s.appendShardSet(nil, keys) {
 		s.shards[i].stm.Quiesce()
@@ -1409,88 +1413,42 @@ func (s *Store) Privatize(keys ...string) ([]*stm.TVar[[]byte], error) {
 	return vars, nil
 }
 
-// Publish plainly stores vals (copied on the way in) and then commits a
-// sentinel transaction on each owning shard. A transactional reader
-// ordered after the sentinel write (any transaction on the shard that
-// starts after Publish returns, or one that observes the bumped sentinel)
-// also sees the plain writes: publication by direct dependency, safe on
-// every engine without fences. Counter keys return ErrWrongType before
-// any write happens.
+// Publish plainly stores vals (copied on the way in) and commits a
+// sentinel write on each owning shard, all in one transaction whose
+// plain stores precede its commit. A transactional reader ordered after
+// the sentinel write (any transaction on the shard that starts after
+// Publish returns, or one that observes the bumped sentinel) also sees
+// the plain writes: publication by direct dependency, safe on every
+// engine without fences. A key Publish creates comes to life with the
+// sentinel commit, like any transactional creation. Counter keys return
+// ErrWrongType before any plain store happens. The sentinel transaction
+// logs the published values as SET ops, so publication is durable (and
+// fed to subscribers) even though the value writes themselves are plain.
 func (s *Store) Publish(vals map[string][]byte) error {
-	if err := s.degradedGate(); err != nil {
-		return err
-	}
 	keys := make([]string, 0, len(vals))
-	for k := range vals {
+	copies := make([][]byte, 0, len(vals))
+	for k, v := range vals {
 		keys = append(keys, k)
+		copies = append(copies, copyVal(v))
 	}
-	// Check kinds before creating anything, so a wrong-type failure does
-	// not leave phantom bytes keys behind (the map iterates in random
-	// order, so "before any write" would otherwise be best-effort).
-	if err := s.checkBytesKinds(keys); err != nil {
-		return err
-	}
-	entries := make([]*entry, 0, len(vals))
-	for _, k := range keys {
-		// ensureLive, not ensure: plain stores into a condemned entry would
-		// be silently lost to the concurrent sweep.
-		e, err := s.ensureLive(s.shards[s.ShardOf(k)], k, false)
-		if err != nil {
-			return err
-		}
-		entries = append(entries, e)
-	}
-	copies := make([][]byte, len(keys))
-	for j, k := range keys {
-		copies[j] = copyVal(vals[k])
-		entries[j].b.Store(copies[j])
-	}
-	idxs := s.appendShardSet(nil, keys)
-	// The sentinel transactions carry the published values as SET ops,
-	// so publication is logged (and fed to subscribers) even though the
-	// value writes themselves were plain.
-	var pends []pendingOps
-	if s.tapOn.Load() {
-		pends = make([]pendingOps, len(idxs))
-		pos := make(map[int]int, len(idxs))
-		for j, i := range idxs {
-			pos[i] = j
-		}
-		for j, k := range keys {
-			p := &pends[pos[s.ShardOf(k)]]
-			p.ops = append(p.ops, wal.Op{Kind: wal.KindSet, Key: k, Val: copies[j]})
-		}
-	}
-	durable := s.dur != nil && s.dur.attached
-	err := stm.AtomicallyMulti(s.appendSTMs(nil, idxs), func(txs []*stm.Tx) error {
-		// A multi-shard publication links its sentinels into one
-		// cross-shard commit, fresh per attempt, so the logged records
-		// recover all-or-nothing like any other cross-shard write.
-		var pt *pendingTxn
-		if pends != nil && durable && len(idxs) > 1 {
-			pt = newPendingTxn(len(idxs))
-		}
-		for j, i := range idxs {
-			txs[j].Write(s.shards[i].pub, txs[j].Read(s.shards[i].pub)+1)
-			if pends != nil {
-				pends[j].seq = 0 // ops are attempt-invariant; only the stamp resets
-				pends[j].txn = pt
-				txs[j].SetTapData(&pends[j])
+	es := make([]*entry, len(keys))
+	return s.Update(keys, func(t *Txn) error {
+		for n, k := range keys {
+			if _, _, es[n], _ = t.bind(k, false); es[n] == nil {
+				return nil // t.err says why
 			}
+		}
+		for n, k := range keys {
+			es[n].b.Store(copies[n])
+			_, j, tx, _ := t.resolve(k)
+			t.emit(j, tx, wal.Op{Kind: wal.KindSet, Key: k, Val: copies[n]})
+		}
+		for j, i := range t.idxs {
+			pub := t.s.shards[i].pub
+			t.txs[j].Write(pub, t.txs[j].Read(pub)+1)
 		}
 		return nil
 	})
-	if err != nil || pends == nil || !s.fsyncLevel() {
-		return err
-	}
-	for j, i := range idxs {
-		if pends[j].seq != 0 {
-			if werr := s.shards[i].feed.log.WaitDurable(pends[j].seq); werr != nil {
-				return werr
-			}
-		}
-	}
-	return s.waitTxnDurable(pends[0].txn)
 }
 
 // Stats is an aggregate snapshot across shards. The JSON field names are

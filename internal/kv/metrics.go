@@ -157,7 +157,7 @@ const (
 // resident). Attribution is by the STM contention tables — each records
 // the variable a conflict lost to, by id — and this read side maps ids
 // back through the shards' key tables, so a key's value, counter and
-// tombstone variables all attribute to the key. Conflicts on shard
+// liveness variables all attribute to the key. Conflicts on shard
 // infrastructure surface as "(keyspace)" and "(publication)"; an id
 // whose entry was deleted since surfaces as "(swept)". Counts are
 // approximate (see obs.HotTable) — the head of a skewed profile is

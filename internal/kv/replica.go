@@ -262,7 +262,7 @@ func (r *Replica) drainLocked(shards []int) error {
 				// A run of plain records applies as one local transaction:
 				// the watermark advances in coarser steps but still only at
 				// transaction boundaries, so readers keep seeing a dense
-				// per-shard prefix — and applyTxn's bulk key creation turns
+				// per-shard prefix — and applyTxn's bulk table insert turns
 				// catch-up from one table copy per new key into one per run.
 				n, ops := r.runLocked(i)
 				if err := r.applyTxn(ops); err != nil {
@@ -309,7 +309,7 @@ func (r *Replica) drainLocked(shards []int) error {
 }
 
 // maxRunOps caps how many ops one apply transaction merges — large
-// enough to amortize key creation during catch-up, small enough to
+// enough to amortize table inserts during catch-up, small enough to
 // bound the transaction's footprint (and lock hold) on a live replica.
 const maxRunOps = 256
 
@@ -318,8 +318,9 @@ const maxRunOps = 256
 // cross-shard participant ends the run before itself (it applies with
 // its siblings); a record containing a delete ends the run after
 // itself, because a later record may re-create the key with the other
-// kind, which needs the delete's commit-time sweep between the two
-// writes. Caller holds r.mu.
+// kind, which needs the deleted entry reclaimed between the two
+// transactions (one transaction cannot change a key's kind). Caller
+// holds r.mu.
 func (r *Replica) runLocked(i int) (n int, ops []wal.Op) {
 	q := r.queues[i]
 	for n < len(q) && len(ops) < maxRunOps {
@@ -390,35 +391,32 @@ func (r *Replica) applyTxn(ops []wal.Op) error {
 	if len(ops) == 0 {
 		return nil
 	}
-	// Bulk-create the missing keys first — one shard-table copy per
-	// batch instead of one per key (ensure's copy-on-write is O(table)
-	// per miss, which made fresh-keyspace catch-up quadratic). The
-	// pre-created entries are present-but-unwritten for the instant
-	// before the transaction commits, the same window every primary
-	// write has between its ensure and its commit.
+	// Insert entries for the missing keys first, absent, with one table
+	// copy per shard and kind instead of one per key (each insert copies
+	// the table, which made fresh-keyspace catch-up quadratic). The keys
+	// come to life only when the apply transaction commits, so readers
+	// never see a half-applied run or cross-shard transaction.
 	keys := make([]string, len(ops))
 	var newBytes, newCtrs []string
 	for i := range ops {
 		op := &ops[i]
 		keys[i] = op.Key
-		if op.Kind == wal.KindDelete {
+		if op.Kind == wal.KindDelete || r.s.shards[r.s.ShardOf(op.Key)].lookup(op.Key) != nil {
 			continue
 		}
-		if r.s.shards[r.s.ShardOf(op.Key)].lookup(op.Key) == nil {
-			if op.Kind == wal.KindSet {
-				newBytes = append(newBytes, op.Key)
-			} else {
-				newCtrs = append(newCtrs, op.Key)
-			}
+		if op.Kind == wal.KindSet {
+			newBytes = append(newBytes, op.Key)
+		} else {
+			newCtrs = append(newCtrs, op.Key)
 		}
 	}
-	if len(newBytes) > 0 {
-		r.s.EnsureKeys(newBytes...)
+	for i, ks := range r.s.byShard(newBytes) {
+		r.s.shards[i].insert(ks, false, keyAbsent)
 	}
-	if len(newCtrs) > 0 {
-		r.s.EnsureCounters(newCtrs...)
+	for i, ks := range r.s.byShard(newCtrs) {
+		r.s.shards[i].insert(ks, true, keyAbsent)
 	}
-	return r.s.Update(keys, func(t *Txn) error {
+	err := r.s.Update(keys, func(t *Txn) error {
 		for i := range ops {
 			op := &ops[i]
 			switch op.Kind {
@@ -436,6 +434,10 @@ func (r *Replica) applyTxn(ops []wal.Op) error {
 		}
 		return nil
 	})
+	if err != nil {
+		r.s.reclaim(keys) // the inserted entries stay absent: free them
+	}
+	return err
 }
 
 // ResetShard replaces shard i's state with a primary snapshot at seq:
@@ -456,7 +458,7 @@ func (r *Replica) ResetShard(i int, seq uint64, recs []wal.Record) error {
 	defer r.mu.Unlock()
 
 	// Wipe: collect the shard's current keys (the table only mutates
-	// under r.mu — applies and their sweeps run right here), then
+	// under r.mu — applies and their reclaims run right here), then
 	// delete transactionally in batches.
 	sh := r.s.shards[i]
 	var keys []string

@@ -1,21 +1,19 @@
 // Blocking reads: WaitGet and Watch, built on the STM runtime's
 // commit-notification subsystem (stm.Tx.Block). A blocked reader parks
-// on the variables it read — the key's value and tombstone, or the
-// shard's keyspace version when the key is absent — and is woken by the
-// commit (or table Touch) that changes them, instead of polling.
+// on the variables it read and is woken by the commit (or table Touch)
+// that changes them, instead of polling.
 //
-// Tombstones and the key table interact with blocking as follows. A key
-// that does not exist — never created, or condemned by a Delete whose
-// sweep may still be in flight — reads as absent, and the waiting
-// transaction joins the shard's keyspace version (kvers) instead:
-// entry creation and sweep completion Touch it, so re-creation of the
-// key wakes the waiter even though the fresh entry's variables did not
-// exist when it parked. Privatize's quiescence fence broadcasts to all
-// waiters of the fenced shards (a privatized variable's plain writes
-// would otherwise never wake them); after the fence, a still-blocked
-// reader of a privatized key re-parks and relies on the safety-net
-// recheck, which is the documented cost of blocking on state you have
-// made private.
+// Absence needs no special case. A key whose table entry is absent —
+// deleted, or inserted by a creator that has not committed — parks the
+// reader on the entry's liveness word, so only the creating commit wakes
+// it, never the uncommitted insert. A key with no entry (or one being
+// reclaimed) parks the reader on the shard's keyspace version (see
+// present), which the next insertion Touches. Privatize's quiescence
+// fence broadcasts to all waiters of the fenced shards (a privatized
+// variable's plain writes would otherwise never wake them); after the
+// fence, a still-blocked reader of a privatized key re-parks and relies
+// on the safety-net recheck, which is the documented cost of blocking on
+// state you have made private.
 package kv
 
 import (
@@ -26,30 +24,11 @@ import (
 	"modtx/internal/stm"
 )
 
-// blockOnKeyspace parks the transaction on the shard's keyspace version
-// because key routed to no live entry (have is the entry the caller
-// observed: nil, or a condemned one). The order is load-bearing for the
-// no-lost-wakeup guarantee: the kvers read happens first, and the table
-// is re-checked after it — a creation or sweep whose Touch landed before
-// our kvers read necessarily stored its table first, so the re-lookup
-// observes it and restarts instead of parking past an already-delivered
-// notification (on the glock and tl2 engines the kvers read alone would
-// absorb such a Touch without conflicting). A Touch after the kvers read
-// is caught by the park's register-then-revalidate protocol. Never
-// returns.
-func blockOnKeyspace(tx *stm.Tx, sh *shard, key string, have *entry) {
-	tx.Read(sh.kvers)
-	if sh.lookup(key) != have {
-		tx.Retry() // the keyspace moved under us: re-run against it now
-	}
-	tx.Block()
-}
-
 // WaitGet returns key's value, blocking until the key exists: if the key
-// is present (and not condemned) it behaves like Get, otherwise the call
-// parks until a Set, CounterAdd, MSet, Update or Publish brings the key
-// to life, and then returns the value it observes. Counters are
-// formatted as decimal, exactly as Get. The wait is event-driven — a
+// is present it behaves like Get, otherwise the call parks until a Set,
+// CounterAdd, MSet, Update or Publish that creates the key commits, and
+// then returns the value it observes. Counters are formatted as decimal,
+// exactly as Get. The wait is event-driven — a
 // parked WaitGet consumes no CPU and wakes on the next relevant commit.
 // Cancellation or deadline on ctx ends the wait with a *stm.TxError
 // wrapping stm.ErrCanceled.
@@ -65,12 +44,9 @@ func (s *Store) WaitGet(ctx context.Context, key string) ([]byte, error) {
 	var out []byte
 	err := sh.stm.AtomicallyCtx(ctx, func(tx *stm.Tx) error {
 		out = nil
-		e := sh.lookup(key)
-		if e == nil || tx.Read(e.dead) != 0 {
-			// Absent, or condemned (the entry is dead forever — the
-			// wakeup that matters is the sweep and later re-creation,
-			// both of which Touch the keyspace version). Park on kvers.
-			blockOnKeyspace(tx, sh, key, e)
+		e, ok := present(tx, sh, key)
+		if !ok {
+			tx.Block()
 		}
 		if e.isCounter() {
 			out = formatCounter(tx.Read(e.c))
@@ -97,40 +73,34 @@ func (s *Store) WaitGet(ctx context.Context, key string) ([]byte, error) {
 // event log). Use WatchFrom to supply the baseline yourself — e.g. to
 // re-arm a watch loop without re-reading.
 func (s *Store) Watch(ctx context.Context, key string) ([]byte, bool, error) {
-	base, present, err := s.Get(key)
+	base, exists, err := s.Get(key)
 	if err != nil {
 		return nil, false, err
 	}
-	return s.WatchFrom(ctx, key, base, present)
+	return s.WatchFrom(ctx, key, base, exists)
 }
 
 // WatchFrom blocks until key's state differs from the given baseline
-// (val compared by bytes.Equal, present for existence) and returns the
+// (val compared by bytes.Equal, exists for existence) and returns the
 // state it observes then. It returns immediately if the current state
 // already differs. The wait is event-driven, like WaitGet.
-func (s *Store) WatchFrom(ctx context.Context, key string, val []byte, present bool) ([]byte, bool, error) {
+func (s *Store) WatchFrom(ctx context.Context, key string, val []byte, exists bool) ([]byte, bool, error) {
 	sh := s.shards[s.ShardOf(key)]
 	var out []byte
 	var ok bool
 	err := sh.stm.AtomicallyCtx(ctx, func(tx *stm.Tx) error {
-		out, ok = nil, false
-		e := sh.lookup(key)
-		if e != nil && tx.Read(e.dead) == 0 {
+		out = nil
+		var e *entry
+		if e, ok = present(tx, sh, key); ok {
 			if e.isCounter() {
 				out = formatCounter(tx.Read(e.c))
 			} else {
 				out = stm.ReadT(tx, e.b)
 			}
-			ok = true
 		}
-		if ok == present && (!ok || bytes.Equal(out, val)) {
-			// Unchanged from the baseline: keep waiting. A live entry's
-			// own variables are the footprint; an absent/condemned key
-			// parks on the keyspace version (with the same read-then-
-			// recheck ordering as WaitGet).
-			if !ok {
-				blockOnKeyspace(tx, sh, key, e)
-			}
+		if ok == exists && (!ok || bytes.Equal(out, val)) {
+			// Unchanged from the baseline: keep waiting on what present
+			// and the value read put in the footprint.
 			tx.Block()
 		}
 		return nil

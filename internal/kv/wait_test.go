@@ -79,10 +79,10 @@ func TestWaitGetWakesOnCreation(t *testing.T) {
 	}
 }
 
-// TestWaitGetAcrossDeleteAndRecreate: the waiter must survive the
-// tombstone-then-sweep deletion protocol — a condemned entry's variables
-// never change again, so the waiter re-parks on the keyspace version and
-// wakes when the key is re-created (possibly with a different kind).
+// TestWaitGetAcrossDeleteAndRecreate: the waiter must survive deletion
+// and reclaim — the deleted entry leaves the table, so the waiter parks
+// on the keyspace version and wakes when the key is re-created on a
+// fresh entry (here with a different kind).
 func TestWaitGetAcrossDeleteAndRecreate(t *testing.T) {
 	for _, e := range stm.Engines() {
 		t.Run(e.String(), func(t *testing.T) {
@@ -280,14 +280,16 @@ func waitForParked(t *testing.T, s *Store, n int) {
 }
 
 // TestWaitGetCreationRaceNoStall races WaitGet against the Set that
-// creates the key with no park synchronization, pinning the ordering
-// fix in blockOnKeyspace: the keyspace version must be read before the
-// table is re-checked, otherwise a creation whose Touch lands between
-// the waiter's lookup and its kvers read strands the waiter on the
-// safety-net timer (≥100ms per stall). With the correct ordering every
-// round resolves in microseconds; the wall-clock bound catches a
-// reintroduced window on any engine (the glock and tl2 read paths are
-// the ones that can absorb the Touch without conflicting).
+// creates the key with no park synchronization. It pins two things.
+// The waiter must return the created value, never the empty value of an
+// entry whose creator has not committed. And the ordering in present:
+// the keyspace version must be read before the table is re-checked,
+// otherwise an insert whose Touch lands between the waiter's lookup and
+// its kvers read strands the waiter on the safety-net timer (≥100ms per
+// stall). With the correct ordering every round resolves in
+// microseconds; the wall-clock bound catches a reintroduced window on
+// any engine (the glock and tl2 read paths are the ones that can absorb
+// the Touch without conflicting).
 func TestWaitGetCreationRaceNoStall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive race stress")

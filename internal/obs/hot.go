@@ -38,51 +38,57 @@ type hotSlot struct {
 }
 
 // Record attributes one event to id. id 0 (no attribution) is ignored.
-// It never allocates and never blocks: at most one scan of the fixed
-// slot array and a few atomic ops.
+// It never allocates and never blocks: a few scans of the fixed slot
+// array and a few atomic ops.
 func (t *HotTable) Record(id uint64) {
 	if id == 0 {
 		return
 	}
-	var free *hotSlot
-	var min *hotSlot
-	var minID, minN uint64
-	for i := range t.slots {
-		s := &t.slots[i]
-		got := s.id.Load()
-		if got == id {
-			s.n.Add(1)
-			return
+	// A lost free-slot CAS means another recorder filled that slot,
+	// perhaps with id itself, so the record rescans instead of dropping.
+	// Slots only fill between resets, which bounds the rescans.
+	for range hotSlots + 1 {
+		var free *hotSlot
+		var min *hotSlot
+		var minID, minN uint64
+		for i := range t.slots {
+			s := &t.slots[i]
+			got := s.id.Load()
+			if got == id {
+				s.n.Add(1)
+				return
+			}
+			if got == 0 {
+				if free == nil {
+					free = s
+				}
+				continue
+			}
+			if n := s.n.Load(); min == nil || n < minN {
+				min, minID, minN = s, got, n
+			}
 		}
-		if got == 0 {
-			if free == nil {
-				free = s
+		if free != nil {
+			if free.id.CompareAndSwap(0, id) {
+				free.n.Add(1)
+				return
 			}
 			continue
 		}
-		if n := s.n.Load(); min == nil || n < minN {
-			min, minID, minN = s, got, n
+		// Table full: decay the smallest resident count; once a slot has
+		// decayed to zero its id is recycled for the newcomer. A lost CAS
+		// here means another recorder got there first — count the record
+		// as dropped rather than retrying (this is a profile, not a
+		// ledger).
+		if minN == 0 {
+			if min.id.CompareAndSwap(minID, id) {
+				min.n.Add(1)
+				return
+			}
+		} else {
+			min.n.Add(^uint64(0)) // decrement
 		}
-	}
-	if free != nil && free.id.CompareAndSwap(0, id) {
-		free.n.Add(1)
-		return
-	}
-	// Table full: decay the smallest resident count; once a slot has
-	// decayed to zero its id is recycled for the newcomer. A lost CAS
-	// means another recorder got there first — count the record as
-	// dropped rather than retrying (this is a profile, not a ledger).
-	if min == nil {
-		t.dropped.Add(1)
-		return
-	}
-	if minN == 0 {
-		if min.id.CompareAndSwap(minID, id) {
-			min.n.Add(1)
-			return
-		}
-	} else {
-		min.n.Add(^uint64(0)) // decrement
+		break
 	}
 	t.dropped.Add(1)
 }
