@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,8 +26,7 @@ type benchReport struct {
 	Keys       int               `json:"keys"`
 	Shards     int               `json:"shards"`
 	Goroutines int               `json:"goroutines"`
-	Procs      int               `json:"procs"`           // GOMAXPROCS during the run
-	Clock      string            `json:"clock,omitempty"` // version-clock mode ("shared" omitted)
+	Procs      int               `json:"procs"` // GOMAXPROCS during the run
 	DurationMs int64             `json:"duration_ms"`
 	FastPct    int               `json:"fastread_pct"`
 	ReadPct    int               `json:"read_pct"`
@@ -60,7 +58,6 @@ type benchEngineJSON struct {
 func runBench(args []string) error {
 	fs := flag.NewFlagSet("bench", flag.ExitOnError)
 	engineName := fs.String("engine", "all", engineFlagHelp(true))
-	clockName := fs.String("clock", "shared", "version-clock mode: "+strings.Join(stm.ClockNames(), ", "))
 	procs := fs.Int("procs", 0, "set GOMAXPROCS for the run (0: leave the runtime default); use for 1/4/16 scaling sweeps")
 	shards := fs.Int("shards", 64, "shard count (rounded up to a power of two)")
 	nkeys := fs.Int("keys", 65536, "number of preloaded keys")
@@ -82,10 +79,6 @@ func runBench(args []string) error {
 		return fmt.Errorf("op percentages exceed 100")
 	}
 	engines, err := enginesForFlag(*engineName)
-	if err != nil {
-		return err
-	}
-	clock, err := stm.ParseClock(*clockName)
 	if err != nil {
 		return err
 	}
@@ -115,8 +108,8 @@ func runBench(args []string) error {
 	}
 
 	if !*asJSON {
-		fmt.Printf("mtx-kv bench: %d keys, %d shards, %d goroutines, %v per engine, durability %s, clock %s, GOMAXPROCS %d\n",
-			*nkeys, *shards, *goroutines, *duration, *durability, clock, runtime.GOMAXPROCS(0))
+		fmt.Printf("mtx-kv bench: %d keys, %d shards, %d goroutines, %v per engine, durability %s, GOMAXPROCS %d\n",
+			*nkeys, *shards, *goroutines, *duration, *durability, runtime.GOMAXPROCS(0))
 		fmt.Printf("op mix: %d%% fastget / %d%% get / %d%% set / %d%% txn-transfer, zipf=%.2f\n\n",
 			*fastPct, *readPct, *writePct, 100-*fastPct-*readPct-*writePct, *zipfS)
 		fmt.Printf("%-12s %12s %12s %10s %10s %10s %10s %10s %12s %8s %8s\n",
@@ -138,11 +131,8 @@ func runBench(args []string) error {
 	if *durability != "off" {
 		report.Durability = *durability
 	}
-	if clock != stm.ClockShared {
-		report.Clock = clock.String()
-	}
 	for _, e := range engines {
-		r, err := benchOne(e, clock, *shards, *nkeys, *goroutines, *duration, *fastPct, *readPct, *writePct, *zipfS,
+		r, err := benchOne(e, *shards, *nkeys, *goroutines, *duration, *fastPct, *readPct, *writePct, *zipfS,
 			durOpts(e.String()))
 		if err != nil {
 			return err
@@ -196,10 +186,10 @@ type benchResult struct {
 // extra carries the durability options, if any; the store is closed at
 // the end so a durable run flushes its logs before the next engine (or
 // temp-dir removal).
-func benchOne(e stm.Engine, clock stm.ClockMode, shards, nkeys, goroutines int, dur time.Duration,
+func benchOne(e stm.Engine, shards, nkeys, goroutines int, dur time.Duration,
 	fastPct, readPct, writePct int, zipfS float64, extra []kv.Option) (benchResult, error) {
 
-	s, err := kv.Open(append([]kv.Option{kv.WithShards(shards), kv.WithEngine(e), kv.WithClock(clock)}, extra...)...)
+	s, err := kv.Open(append([]kv.Option{kv.WithShards(shards), kv.WithEngine(e)}, extra...)...)
 	if err != nil {
 		return benchResult{}, err
 	}

@@ -12,7 +12,7 @@
 //	mtx-kv replica -primary host:7800 [-addr :7701] [-engine lazy]
 //	             [-admin :6061] [-slowtxn 1ms]
 //	             [-maxconns 0] [-maxinflight 0] [-idletimeout 0] [-maxreq 1048576]
-//	mtx-kv bench [-engine all] [-clock shared] [-procs 0] [-shards 64]
+//	mtx-kv bench [-engine all] [-procs 0] [-shards 64]
 //	             [-keys 65536] [-goroutines 8]
 //	             [-duration 2s] [-fastread-pct 70] [-read-pct 20]
 //	             [-write-pct 5] [-zipf 1.2]
@@ -61,11 +61,9 @@
 // cmd/mtx-bench2json for converting `go test -bench` output.
 //
 // The -engine flag accepts any name from the stm engine registry (lazy,
-// eager, global-lock, tl2, adaptive) or "all" (bench only) to run the
-// whole matrix. bench additionally takes -clock (shared or deferred —
-// the per-shard version-clock mode, see stm.ClockModes) and -procs
-// (set GOMAXPROCS for 1/4/16 scaling sweeps; the JSON report records
-// both).
+// eager, global-lock, tl2) or "all" (bench only) to run the whole
+// matrix. bench additionally takes -procs (set GOMAXPROCS for 1/4/16
+// scaling sweeps; the JSON report records it).
 //
 // Protocol (one command per line). Values are arbitrary byte strings
 // without newlines: SET takes everything after the key, so values may

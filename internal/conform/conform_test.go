@@ -36,19 +36,17 @@ func TestSequentialRunExplained(t *testing.T) {
 }
 
 func TestPublicationRunExplained(t *testing.T) {
-	// Every registered engine × clock-mode pair must produce publication
-	// runs explainable in the implementation model — a new engine or
-	// clock variant cannot merge without passing the litmus recording.
+	// Every registered engine must produce publication runs explainable
+	// in the implementation model — a new engine cannot merge without
+	// passing the litmus recording.
 	for _, engine := range stm.Engines() {
-		for _, clock := range stm.ClockModes() {
-			testPublicationRunExplained(t, engine, clock)
-		}
+		testPublicationRunExplained(t, engine)
 	}
 }
 
-func testPublicationRunExplained(t *testing.T, engine stm.Engine, clock stm.ClockMode) {
-	t.Run(engine.String()+"/"+clock.String(), func(t *testing.T) {
-		s := NewSession(stm.New(stm.WithEngine(engine), stm.WithClock(clock)))
+func testPublicationRunExplained(t *testing.T, engine stm.Engine) {
+	t.Run(engine.String(), func(t *testing.T) {
+		s := NewSession(stm.New(stm.WithEngine(engine)))
 		s.Var("x", 0)
 		s.Var("y", 0)
 		t1 := s.Thread()

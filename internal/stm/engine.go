@@ -12,7 +12,10 @@ import (
 // file and one registry row, not editing every hot path.
 type Engine int
 
-// Registered engines.
+// Registered engines: the paper's three implementation strategies (lazy
+// and eager versioning, and a global lock as the strongest baseline)
+// plus TL2, the snapshot engine. All four share the instance's one
+// version clock, fetch-added once per writing commit.
 const (
 	// Lazy buffers writes and applies them at commit under per-variable
 	// versioned locks validated against a global version clock.
@@ -26,10 +29,6 @@ const (
 	// transactions (AtomicallyRead) that keep no read set and commit in
 	// O(1) without locks or validation.
 	TL2
-	// Adaptive delegates per instance to tl2 or eager, flipped by the
-	// contention controller when the conflict rate crosses its
-	// hysteresis thresholds (see adapt.go and engine_adaptive.go).
-	Adaptive
 )
 
 // engine is the seam behind the transactional protocol: per-location
@@ -90,9 +89,8 @@ type engine interface {
 	// every read validates against tx.rv at read time, so commit needs
 	// no validation. Multi-instance read-only transactions always keep
 	// read sets regardless (their serialization point is later than any
-	// single rv). It takes the attempt so the adaptive engine can answer
-	// for the delegate the attempt actually began under.
-	invisibleReadOnly(tx *Tx) bool
+	// single rv).
+	invisibleReadOnly() bool
 }
 
 // engineInfo is one registry row.
@@ -115,8 +113,6 @@ var engineTable = []engineInfo{
 		"one mutex per instance; the strongest and slowest baseline"},
 	{TL2, "tl2", []string{"snapshot"}, tl2Engine{},
 		"global-version-clock snapshots: invisible reads, timestamp extension, lock-free read-only transactions"},
-	{Adaptive, "adaptive", nil, adaptiveEngine{},
-		"contention-adaptive: starts on tl2, flips to eager encounter locking while the conflict rate stays above the hysteresis threshold"},
 }
 
 func lookupEngine(e Engine) (engineInfo, bool) {
@@ -206,10 +202,7 @@ func sampleVar(tx *Tx, v *Var, record, extend bool) int64 {
 		}
 		if version(m1) > tx.rv {
 			// Written by a transaction after our snapshot: the world
-			// already changed, so retry immediately — never park. Under
-			// the deferred clock the observation itself must advance the
-			// clock first, or the next snapshot would be no fresher.
-			tx.s.clockObserve(version(m1))
+			// already changed, so retry immediately — never park.
 			if !extend || !tx.extendSnapshot() {
 				noteContention(&v.varBase)
 				tx.conflictRetryNow()
@@ -237,7 +230,6 @@ func sampleBox(tx *Tx, b boxed, record, extend bool) any {
 			continue // torn sample; retry
 		}
 		if version(m1) > tx.rv {
-			tx.s.clockObserve(version(m1))
 			if !extend || !tx.extendSnapshot() {
 				noteContention(vb)
 				tx.conflictRetryNow()
@@ -262,12 +254,12 @@ func (tx *Tx) extendSnapshot() bool {
 		// Some reads were invisible: extension would silently invalidate
 		// them, except when none have happened at all.
 		if tx.nreads == 0 {
-			tx.rv = tx.s.clockBegin()
+			tx.rv = tx.s.clock.Load()
 			return true
 		}
 		return false
 	}
-	newRV := tx.s.clockBegin()
+	newRV := tx.s.clock.Load()
 	for _, re := range tx.reads {
 		cur := re.vb.meta.Load()
 		if isLocked(cur) || version(cur) > tx.rv {
@@ -306,42 +298,27 @@ func lockWriteSetSorted(tx *Tx) bool {
 			return 0
 		}
 	})
-	for i := 0; i < len(lm); {
+	for i := range lm {
 		m, ok := lm[i].vb.tryLock(tx.rv)
-		if ok {
-			lm[i].meta = m
-			i++
-			continue
-		}
-		// Back out the locks taken so far before deciding how to fail —
-		// or, under the deferred clock, whether to fail at all.
-		for j := i - 1; j >= 0; j-- {
-			lm[j].vb.meta.Store(lm[j].meta)
-		}
-		if !isLocked(m) {
-			// Too new (or torn): any future snapshot must be able to see
-			// past m — advance the deferred clock first.
-			tx.s.clockObserve(version(m))
-			if tx.s.clockMode == ClockDeferred && tx.extendSnapshot() {
-				// Deferred-mode commits never publish to the clock, so a
-				// write target newer than rv is the systematic common
-				// case (every writer trips over its own last commit), not
-				// evidence of a race. Extend the snapshot — revalidating
-				// the read set exactly as the read path would — and
-				// relock at the fresh rv instead of paying an abort.
-				i = 0
-				continue
+		if !ok {
+			// Attribute the failure for the parking retry loop: a locked
+			// write target is worth parking on (its committer will wake
+			// us), a too-new or torn one means retry immediately. Either
+			// way the contention table learns who we lost to.
+			noteContention(lm[i].vb)
+			if isLocked(m) {
+				tx.conflictVB, tx.conflictMeta = lm[i].vb, m
+			} else {
+				tx.conflictChanged = true
 			}
-			tx.conflictChanged = true
-		} else {
-			// A locked write target is worth parking on: its committer
-			// will wake us. The contention table learns who we lost to.
-			tx.conflictVB, tx.conflictMeta = lm[i].vb, m
+			for j := i - 1; j >= 0; j-- {
+				lm[j].vb.meta.Store(lm[j].meta)
+			}
+			clear(lm)
+			tx.lockedMeta = lm[:0]
+			return false
 		}
-		noteContention(lm[i].vb)
-		clear(lm)
-		tx.lockedMeta = lm[:0]
-		return false
+		lm[i].meta = m
 	}
 	tx.lockedMeta = lm
 	return true

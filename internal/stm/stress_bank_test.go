@@ -11,10 +11,9 @@ import (
 // the race job: run it with -cpu 1,4,16 and the same code path is
 // exercised single-threaded, moderately parallel and oversubscribed.
 // Random transfers between accounts preserve the total balance; a
-// reader thread asserts the invariant transactionally throughout. The
-// full engine × clock matrix runs, so the adaptive engine's strategy
-// flips and the deferred clock's shared write versions both face the
-// race detector under every parallelism level.
+// reader thread asserts the invariant transactionally throughout.
+// Every registered engine runs, so each commit protocol faces the race
+// detector under every parallelism level.
 func TestBankStress(t *testing.T) {
 	const accounts = 16
 	const initial = 1000
@@ -26,7 +25,7 @@ func TestBankStress(t *testing.T) {
 	if workers < 2 {
 		workers = 2
 	}
-	forEachEngineClock(t, func(t *testing.T, s *STM) {
+	forEachEngine(t, func(t *testing.T, s *STM) {
 		acct := make([]*Var, accounts)
 		for i := range acct {
 			acct[i] = s.NewVar("acct", initial)

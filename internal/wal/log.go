@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"time"
 )
@@ -43,7 +44,8 @@ type Options struct {
 	OnRotate func(lastSeq uint64)
 	// OnFail, when non-nil, is called exactly once with the Log's first
 	// sticky I/O error, from whichever goroutine hit it (often the
-	// batcher). It must not block or call back into the Log; the kv
+	// batcher), before that error is visible to any caller of the Log.
+	// It must not block or call back into the Log; the kv
 	// layer uses it to flip the store into its degraded mode the moment
 	// the WAL fails rather than on the next append.
 	OnFail func(err error)
@@ -253,6 +255,13 @@ func (l *Log) kickBatcher() {
 // fsync to cover seq — which is why fsync-level acknowledgment simply
 // is a WaitDurable call.
 func (l *Log) WaitDurable(seq uint64) error {
+	if l.level == Fsync {
+		// Yield once before parking so other committers can queue behind
+		// the record this caller just appended. On a single P the kicked
+		// batcher otherwise runs the moment the caller parks and fsyncs
+		// one record per pass, which defeats group commit.
+		runtime.Gosched()
+	}
 	l.durMu.Lock()
 	for l.synced < seq && l.err == nil {
 		l.durCond.Wait()
@@ -471,22 +480,23 @@ func (l *Log) rotate(end uint64) {
 // fail records the first I/O error and releases every waiter with it.
 // Followers are killed too: a broken chain must not keep shipping.
 // Only the first failure counts in Metrics and fires OnFail; repeats
-// of a sticky error are not new faults.
+// of a sticky error are not new faults. Both happen under durMu before
+// the error is published, so a caller released by the error (or
+// refused by it in Append) already sees the failure counted and the
+// hook run; OnFail's contract (no blocking, no calls into the Log)
+// makes holding the lock across it safe.
 func (l *Log) fail(err error) {
 	l.durMu.Lock()
-	first := l.err == nil
-	if first {
-		l.err = err
-	}
-	l.durMu.Unlock()
-	l.durCond.Broadcast()
-	l.dropFollowers()
-	if first {
+	if l.err == nil {
 		if l.m != nil {
 			l.m.Failures.Add(1)
 		}
 		if l.onFail != nil {
 			l.onFail(err)
 		}
+		l.err = err
 	}
+	l.durMu.Unlock()
+	l.durCond.Broadcast()
+	l.dropFollowers()
 }
