@@ -61,9 +61,9 @@
 // cmd/mtx-bench2json for converting `go test -bench` output.
 //
 // The -engine flag accepts any name from the stm engine registry (lazy,
-// eager, global-lock, tl2) or "all" (bench only) to run the whole
-// matrix. bench additionally takes -procs (set GOMAXPROCS for 1/4/16
-// scaling sweeps; the JSON report records it).
+// eager, global-lock, tl2, adaptive) or "all" (bench only) to run the
+// whole matrix. bench additionally takes -procs (set GOMAXPROCS for
+// 1/4/16 scaling sweeps; the JSON report records it).
 //
 // Protocol (one command per line). Values are arbitrary byte strings
 // without newlines: SET takes everything after the key, so values may

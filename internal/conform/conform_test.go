@@ -38,14 +38,16 @@ func TestSequentialRunExplained(t *testing.T) {
 func TestPublicationRunExplained(t *testing.T) {
 	// Every registered engine must produce publication runs explainable
 	// in the implementation model — a new engine cannot merge without
-	// passing the litmus recording.
+	// passing the litmus recording. Subtests are named engine/shared
+	// after the one version clock, as in the earlier engine × clock
+	// matrix, so -run patterns and recorded results stay comparable.
 	for _, engine := range stm.Engines() {
 		testPublicationRunExplained(t, engine)
 	}
 }
 
 func testPublicationRunExplained(t *testing.T, engine stm.Engine) {
-	t.Run(engine.String(), func(t *testing.T) {
+	t.Run(engine.String()+"/shared", func(t *testing.T) {
 		s := NewSession(stm.New(stm.WithEngine(engine)))
 		s.Var("x", 0)
 		s.Var("y", 0)

@@ -105,14 +105,19 @@ func (s *Store) StmLatencies() StmLatencies {
 
 // ShardStat is one shard's point-in-time statistics. The JSON names are
 // a stable wire format (STATS SHARDS and /metrics render from it).
-// Every shard runs the store's engine (Store.Engine) with the stm
-// package's fixed spin-before-park budget, so neither is reported per
-// shard.
+// The stm package's spin-before-park budget is a fixed constant, so it
+// is not reported per shard.
 type ShardStat struct {
 	Shard    int               `json:"shard"`
 	Keys     int               `json:"keys"`
 	FastGets uint64            `json:"fast_gets"`
 	Stm      stm.StatsSnapshot `json:"stm"`
+
+	// Strategy is the protocol the shard's transactions currently begin
+	// under — interesting on the adaptive engine, where each shard flips
+	// between tl2 and eager on its own conflict-rate hysteresis; fixed
+	// engines report themselves.
+	Strategy string `json:"strategy"`
 }
 
 // ShardStats returns per-shard statistics, indexed by shard.
@@ -124,6 +129,7 @@ func (s *Store) ShardStats() []ShardStat {
 			Keys:     len(*sh.vars.Load()),
 			FastGets: s.fastGets[i].n.Load(),
 			Stm:      sh.stm.Snapshot(),
+			Strategy: sh.stm.Strategy().String(),
 		}
 	}
 	return out

@@ -197,7 +197,9 @@ func TestReplicaReadiness(t *testing.T) {
 
 // TestReplicaCrossShardLitmus is the replica-semantics litmus, run
 // against every registered engine: a stream of cross-shard transfers
-// between two counters whose sum is invariant.
+// between two counters whose sum is invariant. Subtests are named
+// engine/shared after the one version clock, as in the earlier
+// engine × clock matrix.
 // Concurrent transactional readers must never see the sum mid-transfer
 // — cross-shard transactions surface atomically — no matter how the
 // record and marker streams interleave.
@@ -208,7 +210,7 @@ func TestReplicaCrossShardLitmus(t *testing.T) {
 }
 
 func testReplicaCrossShardLitmus(t *testing.T, eng stm.Engine) {
-	t.Run(eng.String(), func(t *testing.T) {
+	t.Run(eng.String()+"/shared", func(t *testing.T) {
 		r, err := NewReplica(WithShards(4), WithEngine(eng))
 		if err != nil {
 			t.Fatal(err)

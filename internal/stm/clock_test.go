@@ -7,6 +7,20 @@ import (
 	"testing"
 )
 
+// forEachEngineSharedClock runs f on every engine under the instance's
+// version clock, naming each subtest engine/shared. These suites once
+// ran an engine × clock-mode matrix; the shared fetch-add clock is the
+// mode that remains, and the names stay so -run patterns and recorded
+// results keep selecting the same subtests.
+func forEachEngineSharedClock(t *testing.T, f func(t *testing.T, s *STM)) {
+	for _, e := range engines {
+		e := e
+		t.Run(e.String()+"/shared", func(t *testing.T) {
+			f(t, New(WithEngine(e)))
+		})
+	}
+}
+
 // TestClockConcurrentCounter is the contended-counter correctness check
 // on every engine: the workload that would lose increments if two
 // commits ever shared a write version and validation mistook one for
@@ -14,7 +28,7 @@ import (
 func TestClockConcurrentCounter(t *testing.T) {
 	const goroutines = 8
 	const perG = 150
-	forEachEngine(t, func(t *testing.T, s *STM) {
+	forEachEngineSharedClock(t, func(t *testing.T, s *STM) {
 		c := s.NewVar("c", 0)
 		var wg sync.WaitGroup
 		for g := 0; g < goroutines; g++ {
@@ -49,7 +63,7 @@ func TestMonotonicSnapshot(t *testing.T) {
 	const writers = 2
 	const readers = 2
 	const perWriter = 200
-	forEachEngine(t, func(t *testing.T, s *STM) {
+	forEachEngineSharedClock(t, func(t *testing.T, s *STM) {
 		x := s.NewVar("x", 0)
 		y := s.NewVar("y", 0)
 		var stop atomic.Bool

@@ -8,7 +8,7 @@ import (
 // TestEngineRegistry pins the registry contents: the enum values, their
 // canonical names, and the parse round trip.
 func TestEngineRegistry(t *testing.T) {
-	want := []Engine{Lazy, Eager, GlobalLock, TL2}
+	want := []Engine{Lazy, Eager, GlobalLock, TL2, Adaptive}
 	got := Engines()
 	if len(got) != len(want) {
 		t.Fatalf("Engines() = %v, want %v", got, want)
@@ -45,15 +45,13 @@ func TestParseEngineAliasesAndCase(t *testing.T) {
 		{"tl2", TL2},
 		{"snapshot", TL2},
 		{" TL2 ", TL2},
+		{"adaptive", Adaptive},
+		{"Adaptive", Adaptive},
 	} {
 		got, err := ParseEngine(tc.in)
 		if err != nil || got != tc.want {
 			t.Errorf("ParseEngine(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
 		}
-	}
-	// The removed adaptive engine's name must not resolve.
-	if _, err := ParseEngine("adaptive"); err == nil {
-		t.Error("ParseEngine accepted the removed adaptive engine")
 	}
 	if _, err := ParseEngine("nope"); err == nil {
 		t.Fatal("ParseEngine accepted an unknown name")

@@ -72,7 +72,7 @@ func (s *STM) atomicallyRead(ctx context.Context, fn func(*ReadTx) error) error 
 			}
 		}
 		tx.readOnly = true
-		tx.noReadSet = s.eng.invisibleReadOnly() && !blockNeedsReadSet
+		tx.noReadSet = tx.e.invisibleReadOnly(tx) && !blockNeedsReadSet
 		err, st := tx.runReadBody(fn)
 		switch {
 		case st == txBlocked:

@@ -25,7 +25,7 @@ func TestBankStress(t *testing.T) {
 	if workers < 2 {
 		workers = 2
 	}
-	forEachEngine(t, func(t *testing.T, s *STM) {
+	forEachEngineSharedClock(t, func(t *testing.T, s *STM) {
 		acct := make([]*Var, accounts)
 		for i := range acct {
 			acct[i] = s.NewVar("acct", initial)
